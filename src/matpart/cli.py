@@ -9,9 +9,7 @@ status: 0 success, 1 property-failed, 2 input error, 3 limit exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from fractions import Fraction
 
 from . import constructions, randtypes, solver, textio
 from .model import (

@@ -22,7 +22,6 @@ from .model import (
     is_embedding,
     type_from_edges,
     type_from_matrix,
-    vertex_pairs,
 )
 from .randtypes import RandomSpec, choose_plant_positions, plant_subtype, sample_type
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 RED, BLUE, GREEN = 0, 1, 2
 ZERO, ONE, STAR = 0, 1, 2  # matrix entries, aligned with the color correspondence
@@ -334,38 +334,129 @@ def subtype_copy(tau: TypeGraph, vertex_set: Iterable[int]) -> SubtypeCopy:
     return SubtypeCopy(subtype(tau, keep), tau, keep)
 
 
+class _HostRows(dict):
+    """rows[t][c]: bitset of host vertices s != t with host.edge(t, s) == c,
+    built the first time the search assigns t."""
+
+    def __init__(self, host: TypeGraph) -> None:
+        super().__init__()
+        self.host = host
+
+    def __missing__(self, t: int) -> tuple[int, int, int]:
+        colors, n = self.host.edge_colors, self.host.n
+        row = [0, 0, 0]
+        k = t - 1  # pair index of (0, t); that of (s + 1, t) is n - 2 - s further
+        for s in range(t):
+            row[colors[k]] |= 1 << s
+            k += n - 2 - s
+        for s in range(t + 1, n):  # (t, t + 1), (t, t + 2), ... are consecutive
+            k += 1
+            row[colors[k]] |= 1 << s
+        self[t] = row = tuple(row)
+        return row
+
+
 def find_subtype_copy(host: TypeGraph, pattern: TypeGraph) -> SubtypeCopy | None:
     """Search for an exact color-preserving injective copy of pattern in host.
 
-    Returns the copy with lexicographically least image, or None.
+    Returns the copy with lexicographically least image, or None.  Every
+    pattern pair asks for an edge color, and no host vertex has an edge to
+    itself, so the host rows already make the image injective.
     """
-    p = pattern.n
-    image: list[int] = []
-    used = [False] * host.n
+    by_color = [0, 0]
+    for h, c in enumerate(host.vertex_colors):
+        by_color[c] |= 1 << h
+    domains = [by_color[c] for c in pattern.vertex_colors]
+    relation = [
+        [pattern.edge(k, l) if k != l else RED for l in range(pattern.n)]
+        for k in range(pattern.n)
+    ]
+    image = next(iter(ListSearch(domains, relation, _HostRows(host))), None)
+    return None if image is None else SubtypeCopy(pattern, host, image)
 
-    def extend(k: int) -> bool:
-        if k == p:
-            return True
-        for cand in range(host.n):
-            if used[cand]:
-                continue
-            if host.vertex_colors[cand] != pattern.vertex_colors[k]:
-                continue
-            if any(
-                host.edge(image[l], cand) != pattern.edge(l, k) for l in range(k)
-            ):
-                continue
-            image.append(cand)
-            used[cand] = True
-            if extend(k + 1):
-                return True
-            used[cand] = False
-            image.pop()
-        return False
 
-    if extend(0):
-        return SubtypeCopy(pattern, host, tuple(image))
-    return None
+# ---------------------------------------------------------------------------
+# list assignment search
+
+
+class ListSearch:
+    """Complete search for list assignments, shared by every decision
+    procedure (embeddings, exact subtype copies, edge-homomorphisms).
+
+    Variable v may take the targets in the bitset domains[v].  When variable
+    u takes target t, every other variable v is restricted to the bitset
+    rows[t][relation[u][v]] (forward checking); relation[u][u] is never
+    read.  Iterating yields every complete assignment as a tuple in search
+    order: variables are taken in index order, or by fewest remaining
+    targets (ties to the lower index) when most_constrained is set, and each
+    variable's targets ascend.  With index order the output is therefore
+    lexicographic.
+
+    nodes counts tried values and depth the most variables assigned when a
+    variable was picked.  Past node_limit tried values the iteration stops
+    and limit_hit is set.  The search keeps an explicit stack, so its depth
+    is bounded by memory rather than by the interpreter's recursion limit.
+    """
+
+    def __init__(
+        self,
+        domains: Sequence[int],
+        relation: Sequence[Sequence[int]],
+        rows,
+        most_constrained: bool = False,
+        node_limit: int | None = None,
+    ) -> None:
+        self.domains = list(domains)
+        self.relation = relation
+        self.rows = rows
+        self.most_constrained = most_constrained
+        self.node_limit = node_limit
+        self.nodes = 0
+        self.depth = 0
+        self.limit_hit = False
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        n = len(self.domains)
+        relation, rows, limit = self.relation, self.rows, self.node_limit
+        assignment = [-1] * n
+        doms, free = self.domains, list(range(n))
+        stack: list[list] = []  # [variable, untried targets, domains, other free variables]
+        while True:
+            depth = len(stack)
+            if depth == n:
+                yield tuple(assignment)
+            else:
+                self.depth = max(self.depth, depth)
+                if self.most_constrained:
+                    u = min(free, key=lambda v: doms[v].bit_count())
+                else:
+                    u = free[0]
+                stack.append([u, doms[u], doms, [v for v in free if v != u]])
+            while stack:
+                frame = stack[-1]
+                u, values, doms, free = frame
+                if not values:
+                    stack.pop()
+                    continue
+                low = values & -values
+                frame[1] = values ^ low
+                self.nodes += 1
+                if limit is not None and self.nodes > limit:
+                    self.limit_hit = True
+                    return
+                t = low.bit_length() - 1
+                row, rel = rows[t], relation[u]
+                child = doms[:]
+                for v in free:
+                    child[v] &= row[rel[v]]
+                    if not child[v]:
+                        break
+                else:
+                    assignment[u] = t
+                    doms = child
+                    break
+            else:
+                return
 
 
 # ---------------------------------------------------------------------------

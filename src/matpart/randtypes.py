@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import (
     BLUE,
     GREEN,
     RED,
-    SimpleGraph,
     TypeGraph,
     matrix_from_type,
     block_row_distinctness,

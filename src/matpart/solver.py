@@ -1,30 +1,33 @@
 """Exact decision procedures: embedding search, minimality tests, and
 enumeration of minimal obstructions and edge-homomorphisms.
 
-The search is a plain backtracking solver over vertex assignments with
-optional forward checking; everything is complete (no heuristics that lose
+Every search here is one list M-partition instance run through
+model.ListSearch, an iterative backtracking search over bitset target lists
+with forward checking.  An embedding of g into tau is an edge-homomorphism
+from g, read as a type with blue edges and red non-edges, so both share the
+target rows of _hom_rows.  Everything is complete (no heuristics that lose
 solutions), and a node limit turns the answer into a tri-state so a timeout
 is never mistaken for "no embedding".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .model import (
     BLUE,
-    GREEN,
     RED,
+    ListSearch,
     SimpleGraph,
     TypeGraph,
-    is_edge_homomorphism,
     is_embedding,
+    subtype,
     vertex_pairs,
 )
 
@@ -37,13 +40,9 @@ BRUTE_FORCE_LIMIT = 10**8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    use_forward_checking: bool = True
-    variable_order: str = "most-constrained"  # or "static"
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.variable_order not in ("static", "most-constrained"):
-            raise ValueError(f"unknown variable order {self.variable_order!r}")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node limit must be positive")
 
@@ -66,102 +65,45 @@ class SearchResult:
         return self.status == SAT
 
 
-def _compatibility_tables(tau: TypeGraph) -> tuple[list[list[bool]], list[list[bool]]]:
-    """edge_ok[s][t]: a graph edge may map onto (s, t); nonedge_ok likewise."""
+def _hom_rows(tau: TypeGraph) -> list[tuple[int, int, int]]:
+    """rows[t][c]: bitset of targets s an edge of color c may join to t.
+
+    A red (blue) edge may collapse into a red (blue) vertex or cross a red
+    (blue) or green edge; a green edge may go anywhere.
+    """
     n = tau.n
-    edge_ok = [[False] * n for _ in range(n)]
-    nonedge_ok = [[False] * n for _ in range(n)]
-    for s in range(n):
-        edge_ok[s][s] = tau.vertex_colors[s] == BLUE
-        nonedge_ok[s][s] = tau.vertex_colors[s] == RED
-    for s, t in vertex_pairs(n):
-        c = tau.edge(s, t)
-        edge_ok[s][t] = edge_ok[t][s] = c != RED
-        nonedge_ok[s][t] = nonedge_ok[t][s] = c != BLUE
-    return edge_ok, nonedge_ok
+    rows = []
+    for t in range(n):
+        red = blue = 0
+        for s in range(n):
+            c = tau.vertex_colors[t] if s == t else tau.edge(s, t)
+            if c != BLUE:
+                red |= 1 << s
+            if c != RED:
+                blue |= 1 << s
+        rows.append((red, blue, (1 << n) - 1))
+    return rows
 
 
 def find_embedding(
     g: SimpleGraph, tau: TypeGraph, config: SolverConfig | None = None
 ) -> SearchResult:
-    """Complete backtracking search for an embedding of g into tau."""
+    """Complete search for an embedding of g into tau, most constrained
+    vertex first."""
     cfg = config or SolverConfig()
-    if g.n == 0:
-        return SearchResult(SAT, (), 0, 0)
-    if tau.n == 0:
-        return SearchResult(UNSAT, None, 0, 0)
-
-    edge_ok, nonedge_ok = _compatibility_tables(tau)
-    adjacent = [[False] * g.n for _ in range(g.n)]
+    relation = [[RED] * g.n for _ in range(g.n)]
     for u, v in g.edges:
-        adjacent[u][v] = adjacent[v][u] = True
-
-    candidates: list[set[int]] = [set(range(tau.n)) for _ in range(g.n)]
-    assignment: list[int] = [-1] * g.n
-    stats = {"nodes": 0, "depth": 0}
-    limit = cfg.node_limit
-
-    def pick_vertex() -> int:
-        free = [u for u in range(g.n) if assignment[u] == -1]
-        if cfg.variable_order == "static":
-            return free[0]
-        return min(free, key=lambda u: (len(candidates[u]), u))
-
-    def consistent(u: int, t: int) -> bool:
-        for v in range(g.n):
-            s = assignment[v]
-            if s == -1:
-                continue
-            ok = edge_ok[t][s] if adjacent[u][v] else nonedge_ok[t][s]
-            if not ok:
-                return False
-        return True
-
-    def search(depth: int) -> str:
-        if depth == g.n:
-            return SAT
-        stats["depth"] = max(stats["depth"], depth)
-        u = pick_vertex()
-        for t in sorted(candidates[u]):
-            stats["nodes"] += 1
-            if limit is not None and stats["nodes"] > limit:
-                return UNKNOWN
-            if not cfg.use_forward_checking and not consistent(u, t):
-                continue
-            assignment[u] = t
-            removed: list[tuple[int, int]] = []
-            feasible = True
-            if cfg.use_forward_checking:
-                for v in range(g.n):
-                    if assignment[v] != -1 or v == u:
-                        continue
-                    table = edge_ok if adjacent[u][v] else nonedge_ok
-                    for s in list(candidates[v]):
-                        if not table[s][t]:
-                            candidates[v].discard(s)
-                            removed.append((v, s))
-                    if not candidates[v]:
-                        feasible = False
-                        break
-            if feasible:
-                outcome = search(depth + 1)
-                if outcome != UNSAT:
-                    assignment_restore = outcome == UNKNOWN
-                    if assignment_restore:
-                        # propagate the limit signal without unwinding state
-                        for v, s in removed:
-                            candidates[v].add(s)
-                        assignment[u] = -1
-                    return outcome
-            for v, s in removed:
-                candidates[v].add(s)
-            assignment[u] = -1
-        return UNSAT
-
-    outcome = search(0)
-    if outcome == SAT:
-        return SearchResult(SAT, tuple(assignment), stats["nodes"], stats["depth"])
-    return SearchResult(outcome, None, stats["nodes"], stats["depth"])
+        relation[u][v] = relation[v][u] = BLUE
+    search = ListSearch(
+        [(1 << tau.n) - 1] * g.n,
+        relation,
+        _hom_rows(tau),
+        most_constrained=True,
+        node_limit=cfg.node_limit,
+    )
+    psi = next(iter(search), None)
+    status = SAT if psi is not None else UNKNOWN if search.limit_hit else UNSAT
+    return SearchResult(status, psi, search.nodes, search.depth)
 
 
 def brute_force_has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:
@@ -305,39 +247,17 @@ EDGE_HOM_LIMIT = 10**8
 MAX_FIXED_POINT_N = 7
 
 
-def _constraint_ok(tau: TypeGraph, c: int, s: int, t: int) -> bool:
-    """May an edge of color c map onto target vertices (s, t)?"""
-    if c == GREEN:
-        return True
-    if s == t:
-        return tau.vertex_colors[s] == c
-    d = tau.edge(s, t)
-    return d == c or d == GREEN
-
-
 def enumerate_edge_homomorphisms(
     sigma: TypeGraph, tau: TypeGraph
 ) -> Iterator[tuple[int, ...]]:
     """All edge-homomorphisms sigma -> tau in lexicographic order."""
-    if sigma.n > 0 and tau.n == 0:
-        return
     if tau.n > 1 and tau.n**sigma.n > EDGE_HOM_LIMIT:
         raise ValueError(f"search space {tau.n}^{sigma.n} exceeds the guard")
-    phi: list[int] = []
-
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k == sigma.n:
-            yield tuple(phi)
-            return
-        for t in range(tau.n):
-            if all(
-                _constraint_ok(tau, sigma.edge(l, k), phi[l], t) for l in range(k)
-            ):
-                phi.append(t)
-                yield from extend(k + 1)
-                phi.pop()
-
-    yield from extend(0)
+    relation = [
+        [sigma.edge(k, l) if k != l else RED for l in range(sigma.n)]
+        for k in range(sigma.n)
+    ]
+    yield from ListSearch([(1 << tau.n) - 1] * sigma.n, relation, _hom_rows(tau))
 
 
 @dataclass(frozen=True)
@@ -376,25 +296,9 @@ def min_fixed_points(tau: TypeGraph, alpha: Fraction | float) -> FixedPointRepor
         kmin += 1
 
     best: FixedPointReport | None = None
-    phi: list[int] = []
-
-    def scan(vertices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        k = len(phi)
-        if k == len(vertices):
-            yield tuple(phi)
-            return
-        for t in range(n):
-            if all(
-                _constraint_ok(tau, tau.edge(vertices[l], vertices[k]), phi[l], t)
-                for l in range(k)
-            ):
-                phi.append(t)
-                yield from scan(vertices)
-                phi.pop()
-
     for size in range(kmin, n + 1):
         for vertices in combinations(range(n), size):
-            for mapping in scan(vertices):
+            for mapping in enumerate_edge_homomorphisms(subtype(tau, vertices), tau):
                 fixed = sum(1 for a, t in zip(vertices, mapping) if a == t)
                 if best is None or fixed < best.fixed_count:
                     best = FixedPointReport(

@@ -87,6 +87,17 @@ class TestSolve:
         assert res.returncode == 3
         assert parse_report(res.stdout)["status"] == "limit"
 
+    def test_search_deeper_than_recursion_limit(self, tmp_path):
+        (tmp_path / "edgeless.graph").write_text("1200 0\n")
+        (tmp_path / "red.mat").write_text("1\n0\n")
+        res = run_cli(
+            "solve",
+            "--graph", str(tmp_path / "edgeless.graph"),
+            "--type", str(tmp_path / "red.mat"),
+        )
+        assert res.returncode == 0, res.stderr
+        assert parse_report(res.stdout)["status"] == "found"
+
 
 class TestObstructions:
     def test_two_coloring_list(self, workdir):

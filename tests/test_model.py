@@ -1,7 +1,7 @@
 """Core model: conversions, predicates, neighborhoods, and map semantics."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -30,7 +30,7 @@ from matpart.model import (
     type_is_friendly,
     vertex_pairs,
 )
-from matpart.constructions import rho_obstruction_family
+from matpart.constructions import rho_obstruction_family, rho_three_coloring
 from matpart.randtypes import RandomSpec, plant_subtype, sample_type
 
 
@@ -216,6 +216,37 @@ class TestFindSubtypeCopy:
             copy = find_subtype_copy(planted, rho)
             assert copy is not None
             SubtypeCopy(rho, planted, copy.image)  # validates exactness
+
+    def test_least_image_matches_brute_force(self):
+        rng = random.Random(19)
+        found = 0
+        for _ in range(300):
+            host = random_type(rng, rng.randint(3, 7))
+            for pattern in (rho_obstruction_family(), rho_three_coloring()):
+                reds, blues = host.red_vertices(), host.blue_vertices()
+                nr, nb = len(pattern.red_vertices()), len(pattern.blue_vertices())
+                if rng.random() < 0.75 and len(reds) >= nr and len(blues) >= nb:
+                    # pattern vertices list reds before blues
+                    position = rng.sample(reds, nr) + rng.sample(blues, nb)
+                    host = plant_subtype(host, pattern, position)
+                copy = find_subtype_copy(host, pattern)
+                expected = least_copy_by_brute_force(host, pattern)
+                assert (copy and copy.image) == expected
+                found += expected is not None
+        assert found >= 100
+
+
+def least_copy_by_brute_force(host, pattern):
+    """First injective image in lexicographic order with exact colors."""
+    for image in permutations(range(host.n), pattern.n):
+        if all(
+            host.vertex_colors[h] == pattern.vertex_colors[k] for k, h in enumerate(image)
+        ) and all(
+            host.edge(image[k], image[l]) == pattern.edge(k, l)
+            for k, l in vertex_pairs(pattern.n)
+        ):
+            return image
+    return None
 
 
 class TestEmbedding:

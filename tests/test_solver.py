@@ -4,7 +4,7 @@ exhaustive filters, canonical forms, and the fixed-point scan."""
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from matpart.model import (
     TypeGraph,
     coloring_matrix,
     is_edge_homomorphism,
+    subtype,
     type_from_matrix,
     vertex_pairs,
 )
@@ -23,6 +24,8 @@ from matpart.solver import (
     SAT,
     UNKNOWN,
     UNSAT,
+    FixedPointReport,
+    SearchResult,
     SolverConfig,
     brute_force_has_embedding,
     canonical_code,
@@ -34,6 +37,7 @@ from matpart.solver import (
     is_minimal_obstruction,
     min_fixed_points,
 )
+from matpart.constructions import build_planted_obstruction
 from matpart.randtypes import RandomSpec, sample_type
 
 
@@ -80,6 +84,29 @@ class TestFindEmbedding:
         res = find_embedding(g, three_coloring_type(), SolverConfig(node_limit=2))
         assert res.status == UNKNOWN and res.map is None
 
+    def test_pinned_results(self):
+        """Status, map, node count and depth as `matpart solve` prints them."""
+        col3 = three_coloring_type()
+        limit = SolverConfig(node_limit=200_000)
+        sat = build_planted_obstruction(12, 3, 0)
+        unsat = build_planted_obstruction(12, 3, 4)
+        cases = [
+            (find_embedding(SimpleGraph.complete(4), col3),
+             SearchResult(UNSAT, None, 15, 2)),
+            (find_embedding(SimpleGraph.cycle(5), col3),
+             SearchResult(SAT, (0, 1, 0, 1, 2), 5, 4)),
+            (find_embedding(SimpleGraph.complete(6), col3, SolverConfig(node_limit=2)),
+             SearchResult(UNKNOWN, None, 3, 2)),
+            (find_embedding(sat.graph, sat.tau, limit),
+             SearchResult(SAT, (1, 17, 16, 6, 11, 18, 10, 10, 10, 15, 15, 15), 780, 11)),
+            (find_embedding(unsat.graph, unsat.tau, limit),
+             SearchResult(UNSAT, None, 11044, 16)),
+            (find_embedding(unsat.graph, unsat.tau, SolverConfig(node_limit=5000)),
+             SearchResult(UNKNOWN, None, 5001, 16)),
+        ]
+        for got, expected in cases:
+            assert got == expected
+
     def test_returned_map_always_validates(self):
         from matpart.model import is_embedding
 
@@ -108,17 +135,38 @@ class TestBruteForce:
 
     def test_oracle_agreement_both_configs(self):
         rng = random.Random(77)
-        configs = [
-            SolverConfig(),
-            SolverConfig(use_forward_checking=False, variable_order="static"),
-        ]
-        for k in range(200):
+        for _ in range(200):
             g = random_graph(rng, rng.randint(0, 6))
             nt = rng.randint(0, 4)
             tau = random_type(rng, nt) if nt else TypeGraph((), ())
             expected = brute_force_has_embedding(g, tau)
-            cfg = configs[k % 2]
-            assert find_embedding(g, tau, cfg).found == expected
+            assert find_embedding(g, tau, SolverConfig()).found == expected
+
+    def test_oracle_agreement_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=200, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.data())
+        def check(data):
+            def draw_tuple(choices, size):
+                return tuple(
+                    data.draw(st.lists(st.sampled_from(choices), min_size=size, max_size=size))
+                )
+
+            n = data.draw(st.integers(0, 7), label="graph order")
+            pairs = list(vertex_pairs(n))
+            present = draw_tuple((False, True), len(pairs))
+            g = SimpleGraph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+            nt = data.draw(st.integers(0, 4), label="type order")
+            tau = TypeGraph(
+                draw_tuple((RED, BLUE), nt), draw_tuple((RED, BLUE, GREEN), nt * (nt - 1) // 2)
+            )
+            assert find_embedding(g, tau).found == brute_force_has_embedding(g, tau)
+
+        check()
 
 
 class TestHereditarity:
@@ -298,6 +346,32 @@ class TestMinFixedPoints:
             sigma = subtype(tau, rep.subtype_vertices)
             assert is_edge_homomorphism(sigma, tau, rep.map)
 
+    def test_matches_brute_force_scan(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            tau = random_type(rng, rng.randint(1, 4))
+            alpha = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)))
+            assert min_fixed_points(tau, alpha) == brute_force_min_fixed_points(tau, alpha)
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             min_fixed_points(sample_type(RandomSpec(8, "general", 0)), Fraction(1, 2))
+
+
+def brute_force_min_fixed_points(tau, alpha):
+    """Every large subtype and every map into tau, filtered by the definition;
+    the first witness in (size, vertices, map) order wins ties."""
+    n = tau.n
+    best = None
+    for size in range(1, n + 1):
+        if size < alpha * n:
+            continue
+        for vertices in combinations(range(n), size):
+            sigma = subtype(tau, vertices)
+            for phi in product(range(n), repeat=size):
+                if not is_edge_homomorphism(sigma, tau, phi):
+                    continue
+                fixed = sum(1 for a, t in zip(vertices, phi) if a == t)
+                if best is None or fixed < best.fixed_count:
+                    best = FixedPointReport(vertices, phi, fixed, alpha, Fraction(fixed, n))
+    return best
