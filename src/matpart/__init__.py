@@ -27,6 +27,8 @@ from .model import (
     is_split_graph,
     is_type_homomorphism,
     matrix_from_type,
+    rho_obstruction_family,
+    rho_three_coloring,
     subtype,
     subtype_copy,
     type_from_matrix,
@@ -70,8 +72,6 @@ from .constructions import (
     obstruction_graph,
     reduction_graph,
     restricted_placement_unsat,
-    rho_obstruction_family,
-    rho_three_coloring,
 )
 
 __version__ = "0.1.0"

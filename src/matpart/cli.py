@@ -14,13 +14,15 @@ import sys
 from . import constructions, randtypes, solver, textio
 from .model import (
     COLOR_NAMES,
+    PATTERNS,
     SimpleGraph,
     block_row_distinctness,
     find_subtype_copy,
     is_embedding,
     is_friendly,
-    matrix_from_type,
+    pattern_by_token,
     type_from_matrix,
+    type_is_friendly,
 )
 
 DEFAULT_LEMMA_SAMPLES = 2000  # sampled-mode tuples when exhaustive would blow up
@@ -59,7 +61,7 @@ def _cmd_gen_type(args: argparse.Namespace) -> int:
     if planted_at:
         lines.append(f"planted_at={planted_at}")
     lines.append(f"out={args.out}")
-    lines.append(f"friendly={str(is_friendly(matrix_from_type(tau))).lower()}")
+    lines.append(f"friendly={str(type_is_friendly(tau)).lower()}")
     _emit(lines)
     return 0
 
@@ -87,7 +89,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     tau = textio.parse_type(_read(args.type))
     cfg = solver.SolverConfig(node_limit=args.node_limit)
     result = solver.find_embedding(g, tau, cfg)
-    status = {"embeddable": "found", "no-embedding": "none", "limit-exceeded": "limit"}[
+    status = {solver.SAT: "found", solver.UNSAT: "none", solver.UNKNOWN: "limit"}[
         result.status
     ]
     lines = [
@@ -101,7 +103,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if result.map is not None:
         lines.append("map=" + " ".join(str(t) for t in result.map))
     _emit(lines)
-    return 3 if status == "limit" else 0
+    return 3 if result.status == solver.UNKNOWN else 0
 
 
 def _cmd_obstructions(args: argparse.Namespace) -> int:
@@ -209,14 +211,14 @@ def _cmd_construct_obstruction(args: argparse.Namespace) -> int:
         failed = not (embeddings_ok and unsat)
     lines.append("instance:")
     _emit(lines)
-    sys.stdout.write(constructions.serialize_obstruction_instance(instance))
+    sys.stdout.write(textio.serialize_obstruction_instance(instance))
     return 1 if failed else 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = textio.parse_graph(_read(args.graph))
     tau = textio.parse_type(_read(args.type))
-    pattern = constructions.pattern_by_token(args.rho)
+    pattern = pattern_by_token(args.rho)
     copy = find_subtype_copy(tau, pattern)
     if copy is None:
         raise ValueError(f"type contains no copy of pattern {args.rho!r}")
@@ -245,7 +247,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             failed = not ok
     lines.append("instance:")
     _emit(lines)
-    sys.stdout.write(constructions.serialize_reduction_instance(instance))
+    sys.stdout.write(textio.serialize_reduction_instance(instance))
     return 1 if failed else 0
 
 
@@ -267,8 +269,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    spec = randtypes.parse_experiment_spec(_read(args.spec))
-    summaries = randtypes.run_experiment(spec)
+    spec = textio.parse_experiment_spec(_read(args.spec))
+    summaries = randtypes.monte_carlo(spec.prop, spec.n_values, spec.seeds)
     lines = ["command=experiment", f"spec={args.spec}"]
     all_met = True
     for s in summaries:
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--model", choices=("friendly", "general"), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--plant", choices=("thm1", "thm3"))
+    p.add_argument("--plant", choices=tuple(PATTERNS))
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_gen_type)
 
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="build the reduction graph for a type")
     p.add_argument("--graph", required=True)
     p.add_argument("--type", required=True)
-    p.add_argument("--rho", choices=("thm1", "thm3"), default="thm3")
+    p.add_argument("--rho", choices=tuple(PATTERNS), default="thm3")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(handler=_cmd_reduce)
 

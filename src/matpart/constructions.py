@@ -1,7 +1,7 @@
-"""Builders for the hardness gadgets: the six-vertex pattern type driving
-the growing obstruction family, the path-gadget obstruction graphs with
-their explicit embeddings and finite unsatisfiability check, and the
-polynomial reduction graph with its extension embedding.
+"""Builders for the hardness gadgets on a host type carrying a copy of one
+of model's patterns: the path-gadget obstruction graphs with their
+explicit embeddings and finite unsatisfiability check, and the polynomial
+reduction graph with its extension embedding.
 """
 
 from __future__ import annotations
@@ -12,56 +12,17 @@ from typing import Sequence
 
 from .model import (
     BLUE,
-    GREEN,
-    RED,
     SimpleGraph,
     SubtypeCopy,
     TypeGraph,
     common_neighborhood,
-    coloring_matrix,
     is_embedding,
-    type_from_edges,
-    type_from_matrix,
+    pattern_by_token,
+    rho_obstruction_family,
 )
 from .randtypes import RandomSpec, choose_plant_positions, plant_subtype, sample_type
 
-# role indices inside the six-vertex pattern
-R1, R2, R3, B1, B2, B3 = range(6)
-
 MAX_PATH_LENGTH = 12  # restricted placement check walks 4^m assignments
-
-
-def rho_obstruction_family() -> TypeGraph:
-    """Six-vertex friendly type whose planted copies force arbitrarily long
-    path gadgets: three red and three blue vertices, blue edges r1r3, r2r3,
-    b1b2, green edges r1b1, r1b3, r2b2, r3b2, red edges elsewhere."""
-    return type_from_edges(
-        (RED, RED, RED, BLUE, BLUE, BLUE),
-        {
-            (R1, R3): BLUE,
-            (R2, R3): BLUE,
-            (B1, B2): BLUE,
-            (R1, B1): GREEN,
-            (R1, B3): GREEN,
-            (R2, B2): GREEN,
-            (R3, B2): GREEN,
-        },
-        default=RED,
-    )
-
-
-def rho_three_coloring() -> TypeGraph:
-    """Three red vertices with green edges: embeddability = 3-colorability."""
-    return type_from_matrix(coloring_matrix(3))
-
-
-def pattern_by_token(token: str) -> TypeGraph:
-    """CLI token -> pattern type ('thm1' family pattern, 'thm3' coloring)."""
-    if token == "thm1":
-        return rho_obstruction_family()
-    if token == "thm3":
-        return rho_three_coloring()
-    raise ValueError(f"unknown pattern token {token!r}")
 
 
 @dataclass(frozen=True)
@@ -265,45 +226,9 @@ def extend_embedding(
 def plant_pattern(
     tau: TypeGraph, token: str, seed: int
 ) -> tuple[TypeGraph, SubtypeCopy]:
-    """Plant the pattern chosen by CLI token at seeded positions."""
+    """Plant the pattern named by a PATTERNS token at seeded positions."""
     pattern = pattern_by_token(token)
     position = choose_plant_positions(tau, pattern, seed)
     planted = plant_subtype(tau, pattern, position)
     return planted, SubtypeCopy(pattern, planted, position)
 
-
-# ---------------------------------------------------------------------------
-# serialization (text, stable ordering)
-
-
-def _matrix_text(tau: TypeGraph) -> str:
-    from .textio import serialize_type
-
-    return serialize_type(tau)
-
-
-def serialize_obstruction_instance(instance: ObstructionInstance) -> str:
-    """Type file, copy image line, m line, graph file, then label lines."""
-    from .textio import serialize_graph
-
-    parts = [
-        _matrix_text(instance.tau),
-        " ".join(str(v) for v in instance.rho_copy.image) + "\n",
-        f"{instance.m}\n",
-        serialize_graph(instance.graph),
-        "".join(f"{label}\n" for label in instance.labels),
-    ]
-    return "".join(parts)
-
-
-def serialize_reduction_instance(instance: ReductionInstance) -> str:
-    """Type file, copy image line, output graph file, then label lines."""
-    from .textio import serialize_graph
-
-    parts = [
-        _matrix_text(instance.tau),
-        " ".join(str(v) for v in instance.rho_copy.image) + "\n",
-        serialize_graph(instance.output_graph),
-        "".join(f"{label}\n" for label in instance.labels),
-    ]
-    return "".join(parts)

@@ -1,4 +1,5 @@
-"""Core data model: partition matrices, colored types, graphs, and maps.
+"""Core data model: partition matrices, colored types, the paper's two
+pattern types, graphs, and maps.
 
 A partition matrix is a symmetric table over {0, 1, *} with no * on the
 diagonal; it specifies which vertex classes of a partition must span
@@ -260,6 +261,45 @@ def coloring_matrix(k: int) -> PartitionMatrix:
         raise ValueError("k must be positive")
     rows = [[ZERO if i == j else STAR for j in range(k)] for i in range(k)]
     return PartitionMatrix.from_rows(rows)
+
+
+# role indices inside the six-vertex pattern
+R1, R2, R3, B1, B2, B3 = range(6)
+
+
+def rho_obstruction_family() -> TypeGraph:
+    """Six-vertex friendly type whose planted copies force arbitrarily long
+    path gadgets: three red and three blue vertices, blue edges r1r3, r2r3,
+    b1b2, green edges r1b1, r1b3, r2b2, r3b2, red edges elsewhere."""
+    return type_from_edges(
+        (RED, RED, RED, BLUE, BLUE, BLUE),
+        {
+            (R1, R3): BLUE,
+            (R2, R3): BLUE,
+            (B1, B2): BLUE,
+            (R1, B1): GREEN,
+            (R1, B3): GREEN,
+            (R2, B2): GREEN,
+            (R3, B2): GREEN,
+        },
+        default=RED,
+    )
+
+
+def rho_three_coloring() -> TypeGraph:
+    """Three red vertices with green edges: embeddability = 3-colorability."""
+    return type_from_matrix(coloring_matrix(3))
+
+
+# pattern token -> builder: 'thm1' the family pattern, 'thm3' 3-coloring
+PATTERNS = {"thm1": rho_obstruction_family, "thm3": rho_three_coloring}
+
+
+def pattern_by_token(token: str) -> TypeGraph:
+    """The pattern type named by a token of PATTERNS."""
+    if token not in PATTERNS:
+        raise ValueError(f"unknown pattern token {token!r}")
+    return PATTERNS[token]()
 
 
 def homomorphism_matrix(h: SimpleGraph) -> PartitionMatrix:

@@ -22,13 +22,16 @@ import numpy as np
 
 from .model import (
     BLUE,
+    COLOR_NAMES,
     GREEN,
+    PATTERNS,
     RED,
     TypeGraph,
     matrix_from_type,
     block_row_distinctness,
     find_subtype_copy,
     pair_index,
+    pattern_by_token,
 )
 
 _GOLD = 0x9E3779B97F4A7C15
@@ -173,15 +176,12 @@ class MembershipScenario:
 
     `vertices` declares the constraint vertices (name, color); `sets` are
     the constraint sets the fresh vertex must be a common neighbor of.
-    `pairwise` may pin edge colors among the constraint vertices; those do
-    not influence the probability but are validated for consistency.
     """
 
     model: str
     candidate_color: int
     vertices: tuple[tuple[str, int], ...]
     sets: tuple[tuple[str, ...], ...]
-    pairwise: tuple[tuple[str, str, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.model not in ("general", "friendly"):
@@ -201,21 +201,6 @@ class MembershipScenario:
                     raise ValueError(f"set member {name!r} not declared")
             if len(set(s)) != len(s):
                 raise ValueError("duplicate member inside a constraint set")
-        seen_pairs = set()
-        for a, b, c in self.pairwise:
-            if a not in colors or b not in colors or a == b:
-                raise ValueError(f"bad pairwise declaration ({a!r}, {b!r})")
-            key = frozenset((a, b))
-            if key in seen_pairs:
-                raise ValueError(f"pair ({a!r}, {b!r}) declared twice")
-            seen_pairs.add(key)
-            if c not in (RED, BLUE, GREEN):
-                raise ValueError("bad pairwise edge color")
-            if self.model == "friendly" and c == GREEN and colors[a] == colors[b]:
-                raise ValueError(
-                    f"inconsistent scenario: green edge between same-colored "
-                    f"{a!r} and {b!r} in the friendly model"
-                )
 
 
 @dataclass(frozen=True)
@@ -430,6 +415,13 @@ def check_neighborhood_lemma(
             cmat, nv, mode, samples, seed, red_pool=list(range(nv)), blue_pool=[],
             red_count=3, blue_count=0, label="nsize3",
         )
+    if mode == "exhaustive":  # the tuple generators are lazy: nothing walked yet
+        space = exhaustive_tuple_space(tau, lemma_id)
+        if space > EXHAUSTIVE_TUPLE_LIMIT:
+            raise ValueError(
+                f"exhaustive tuple space {space} exceeds {EXHAUSTIVE_TUPLE_LIMIT}; "
+                "use sampled mode"
+            )
 
     worst_i: tuple[int, ...] = ()
     worst_i_size = nv + 1
@@ -472,12 +464,6 @@ def _nsize_tuples(tau, cmat, reds, blues, mode, samples, seed):
         red_pairs = list(combinations(reds, 2))
         blue_pairs = list(combinations(blues, 2))
         all_pairs = list(combinations(range(nv), 2))
-        space = len(red_pairs) * len(blue_pairs) * max(len(all_pairs) - 2, 1)
-        if space > EXHAUSTIVE_TUPLE_LIMIT:
-            raise ValueError(
-                f"exhaustive tuple space {space} exceeds {EXHAUSTIVE_TUPLE_LIMIT}; "
-                "use sampled mode"
-            )
         pair_masks = np.stack([_pair_membership(cmat, v, w) for v, w in all_pairs])
         pm_int = pair_masks.astype(np.int32)
         pair_pos = {pq: k for k, pq in enumerate(all_pairs)}
@@ -532,12 +518,6 @@ def _fixed_set_tuples(
         blue_choices = (
             list(combinations(blue_pool, blue_count)) if blue_count else [()]
         )
-        space = len(red_choices) * len(blue_choices) * max(nv - red_count - blue_count, 1)
-        if space > EXHAUSTIVE_TUPLE_LIMIT:
-            raise ValueError(
-                f"exhaustive tuple space {space} exceeds {EXHAUSTIVE_TUPLE_LIMIT}; "
-                "use sampled mode"
-            )
         for rsel in red_choices:
             for bsel in blue_choices:
                 yield evaluate(tuple(rsel) + tuple(bsel))
@@ -599,7 +579,7 @@ class MCProperty:
             raise ValueError(f"unknown property kind {self.kind!r}")
         if self.part not in ("i", "ii", "both"):
             raise ValueError(f"unknown part {self.part!r}")
-        if self.rho not in ("thm1", "thm3"):
+        if self.rho not in PATTERNS:
             raise ValueError(f"unknown rho token {self.rho!r}")
 
     def label(self) -> str:
@@ -608,8 +588,6 @@ class MCProperty:
         if self.kind == "contains_rho":
             return f"contains_rho:{self.rho}"
         if self.kind == "edge_frequency":
-            from .model import COLOR_NAMES
-
             return f"edge_frequency:{COLOR_NAMES[self.color]}"
         return self.kind
 
@@ -653,13 +631,8 @@ def _evaluate_trial(prop: MCProperty, n: int, seed: int) -> tuple[bool, float]:
         ok = rep.a_rows_distinct and rep.b_rows_distinct
         return ok, 1.0 if ok else 0.0
     if prop.kind == "contains_rho":
-        from .constructions import rho_obstruction_family, rho_three_coloring
-
-        pattern = (
-            rho_obstruction_family() if prop.rho == "thm1" else rho_three_coloring()
-        )
         tau = sample_type(spec)
-        ok = find_subtype_copy(tau, pattern) is not None
+        ok = find_subtype_copy(tau, pattern_by_token(prop.rho)) is not None
         return ok, 1.0 if ok else 0.0
     # edge_frequency
     _, edges = _sample_arrays(spec)
@@ -700,93 +673,3 @@ def monte_carlo(
         )
     return tuple(summaries)
 
-
-# ---------------------------------------------------------------------------
-# experiment spec files (key=value lines)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    prop: MCProperty
-    n_values: tuple[int, ...]
-    seeds: tuple[int, ...]
-    threshold: float | None
-
-
-def _parse_seed_field(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(range(int(text)))
-
-
-def parse_experiment_spec(text: str) -> ExperimentSpec:
-    """Parse an experiment description made of key=value lines.
-
-    Keys: property (required), model, lemma, part, mode (sampled:<k> or
-    exhaustive), n (comma list, required), seeds (count, a..b, or comma
-    list; required), threshold, color, rho.  '#' starts a comment.
-    """
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in fields:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value.strip()
-    known = {
-        "property", "model", "lemma", "part", "mode", "n", "seeds",
-        "threshold", "color", "rho",
-    }
-    for key in fields:
-        if key not in known:
-            raise ValueError(f"unknown experiment key {key!r}")
-    for required in ("property", "n", "seeds"):
-        if required not in fields:
-            raise ValueError(f"missing experiment key {required!r}")
-
-    lemma_mode, tuple_samples = "sampled", 200
-    if "mode" in fields:
-        mode = fields["mode"]
-        if mode == "exhaustive":
-            lemma_mode = "exhaustive"
-        elif mode.startswith("sampled:"):
-            tuple_samples = int(mode.split(":", 1)[1])
-        elif mode == "sampled":
-            pass
-        else:
-            raise ValueError(f"bad mode {mode!r}")
-    color_names = {"red": RED, "blue": BLUE, "green": GREEN}
-    color = fields.get("color", "green")
-    if color not in color_names:
-        raise ValueError(f"bad color {color!r}")
-    prop = MCProperty(
-        kind=fields["property"],
-        model=fields.get("model", "friendly"),
-        lemma_id=fields.get("lemma", "nsize"),
-        part=fields.get("part", "i"),
-        lemma_mode=lemma_mode,
-        tuple_samples=tuple_samples,
-        rho=fields.get("rho", "thm1"),
-        color=color_names[color],
-    )
-    n_values = tuple(int(x) for x in fields["n"].split(","))
-    if not n_values or any(n < 1 for n in n_values):
-        raise ValueError("n values must be positive")
-    seeds = _parse_seed_field(fields["seeds"])
-    if not seeds:
-        raise ValueError("empty seed list")
-    threshold = float(fields["threshold"]) if "threshold" in fields else None
-    return ExperimentSpec(prop, n_values, seeds, threshold)
-
-
-def run_experiment(spec: ExperimentSpec) -> tuple[MCSummary, ...]:
-    return monte_carlo(spec.prop, spec.n_values, spec.seeds)

@@ -1,20 +1,40 @@
-"""Text formats for matrices, graphs, and types.
+"""Text formats for matrices, graphs, types, scenarios, experiments and
+gadget instances.
 
 Matrix files: first line is the dimension m, then m lines of m characters
 from {0, 1, *}.  Graph files: first line is "n e", then e lines "u v" with
 0 <= u < v < n.  Type files reuse the matrix format.
+
+Scenario and experiment files are key=value lines; '#' starts a comment and
+blank lines are skipped.  A scenario declares the model, the candidate
+color, the constraint vertices and the constraint sets of an exact
+membership probability; an experiment declares a Monte Carlo property, its
+n values and seeds, and an optional success threshold.
+
+Instance files are written, never read.  An obstruction instance is its
+type file, the copy image line, the m line, its graph file and one label
+line per graph vertex; a reduction instance is its type file, the copy
+image line, the output graph file and the label lines.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterator
+
+from .constructions import ObstructionInstance, ReductionInstance
 from .model import (
+    BLUE,
+    COLOR_NAMES,
     ENTRY_CHARS,
+    RED,
     PartitionMatrix,
     SimpleGraph,
     TypeGraph,
     matrix_from_type,
     type_from_matrix,
 )
+from .randtypes import MCProperty, MembershipScenario
 
 
 class ParseError(ValueError):
@@ -121,50 +141,71 @@ def serialize_graph(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COLOR_BY_NAME = {"red": 0, "blue": 1, "green": 2}
+def serialize_obstruction_instance(instance: ObstructionInstance) -> str:
+    """Type file, copy image line, m line, graph file, then label lines."""
+    parts = [
+        serialize_type(instance.tau),
+        " ".join(str(v) for v in instance.rho_copy.image) + "\n",
+        f"{instance.m}\n",
+        serialize_graph(instance.graph),
+        "".join(f"{label}\n" for label in instance.labels),
+    ]
+    return "".join(parts)
 
 
-def parse_scenario(text: str):
-    """Parse a membership-probability scenario.
+def serialize_reduction_instance(instance: ReductionInstance) -> str:
+    """Type file, copy image line, output graph file, then label lines."""
+    parts = [
+        serialize_type(instance.tau),
+        " ".join(str(v) for v in instance.rho_copy.image) + "\n",
+        serialize_graph(instance.output_graph),
+        "".join(f"{label}\n" for label in instance.labels),
+    ]
+    return "".join(parts)
 
-    Lines (key=value, '#' comments): model=friendly|general,
-    candidate=red|blue, vertex=<name>:<red|blue> (repeated),
-    set=<name>,<name>,... (repeated), pair=<a>:<b>:<color> (optional).
-    """
-    from .randtypes import MembershipScenario
 
-    model = candidate = None
-    vertices: list[tuple[str, int]] = []
-    sets: list[tuple[str, ...]] = []
-    pairs: list[tuple[str, str, int]] = []
+_COLOR_INDEX = {name: c for c, name in enumerate(COLOR_NAMES)}
+
+
+def _key_values(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each key=value line; '#' starts a
+    comment and blank lines are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"expected key=value, got {raw.strip()!r}", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_scenario(text: str) -> MembershipScenario:
+    """Parse a membership-probability scenario.
+
+    Keys: model=friendly|general, candidate=red|blue,
+    vertex=<name>:<red|blue> (repeated), set=<name>,<name>,... (repeated).
+    """
+    model = candidate = None
+    vertices: list[tuple[str, int]] = []
+    sets: list[tuple[str, ...]] = []
+    for lineno, key, value in _key_values(text):
         if key == "model":
             model = value
         elif key == "candidate":
-            if value not in ("red", "blue"):
+            if _COLOR_INDEX.get(value) not in (RED, BLUE):
                 raise ParseError(f"candidate must be red or blue, got {value!r}", lineno)
-            candidate = _COLOR_BY_NAME[value]
+            candidate = _COLOR_INDEX[value]
         elif key == "vertex":
             parts = value.split(":")
-            if len(parts) != 2 or parts[1] not in ("red", "blue"):
+            if len(parts) != 2 or _COLOR_INDEX.get(parts[1]) not in (RED, BLUE):
                 raise ParseError(f"vertex must be <name>:<red|blue>, got {value!r}", lineno)
-            vertices.append((parts[0], _COLOR_BY_NAME[parts[1]]))
+            vertices.append((parts[0], _COLOR_INDEX[parts[1]]))
         elif key == "set":
             members = tuple(name.strip() for name in value.split(","))
             if not members or any(not name for name in members):
                 raise ParseError(f"bad set {value!r}", lineno)
             sets.append(members)
-        elif key == "pair":
-            parts = value.split(":")
-            if len(parts) != 3 or parts[2] not in _COLOR_BY_NAME:
-                raise ParseError(f"pair must be <a>:<b>:<color>, got {value!r}", lineno)
-            pairs.append((parts[0], parts[1], _COLOR_BY_NAME[parts[2]]))
         else:
             raise ParseError(f"unknown scenario key {key!r}", lineno)
     if model is None:
@@ -172,8 +213,82 @@ def parse_scenario(text: str):
     if candidate is None:
         raise ParseError("missing candidate line", 1)
     try:
-        return MembershipScenario(
-            model, candidate, tuple(vertices), tuple(sets), tuple(pairs)
-        )
+        return MembershipScenario(model, candidate, tuple(vertices), tuple(sets))
     except ValueError as exc:
         raise ParseError(str(exc), 1) from None
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    prop: MCProperty
+    n_values: tuple[int, ...]
+    seeds: tuple[int, ...]
+    threshold: float | None
+
+
+_EXPERIMENT_KEYS = (
+    "property", "model", "lemma", "part", "mode", "n", "seeds", "threshold",
+    "color", "rho",
+)
+
+
+def _parse_seed_field(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        return tuple(range(int(lo), int(hi) + 1))
+    if "," in text:
+        return tuple(int(x) for x in text.split(","))
+    return tuple(range(int(text)))
+
+
+def parse_experiment_spec(text: str) -> ExperimentSpec:
+    """Parse an experiment description made of key=value lines.
+
+    Keys: property (required), model, lemma, part, mode (sampled:<k> or
+    exhaustive), n (comma list, required), seeds (count, a..b, or comma
+    list; required), threshold, color, rho.
+    """
+    fields: dict[str, str] = {}
+    for lineno, key, value in _key_values(text):
+        if key not in _EXPERIMENT_KEYS:
+            raise ParseError(f"unknown experiment key {key!r}", lineno)
+        if key in fields:
+            raise ParseError(f"duplicate key {key!r}", lineno)
+        fields[key] = value
+    for required in ("property", "n", "seeds"):
+        if required not in fields:
+            raise ParseError(f"missing experiment key {required!r}", 1)
+
+    lemma_mode, tuple_samples = "sampled", 200
+    if "mode" in fields:
+        mode = fields["mode"]
+        if mode == "exhaustive":
+            lemma_mode = "exhaustive"
+        elif mode.startswith("sampled:"):
+            tuple_samples = int(mode.split(":", 1)[1])
+        elif mode == "sampled":
+            pass
+        else:
+            raise ValueError(f"bad mode {mode!r}")
+    color = fields.get("color", "green")
+    if color not in _COLOR_INDEX:
+        raise ValueError(f"bad color {color!r}")
+    prop = MCProperty(
+        kind=fields["property"],
+        model=fields.get("model", "friendly"),
+        lemma_id=fields.get("lemma", "nsize"),
+        part=fields.get("part", "i"),
+        lemma_mode=lemma_mode,
+        tuple_samples=tuple_samples,
+        rho=fields.get("rho", "thm1"),
+        color=_COLOR_INDEX[color],
+    )
+    n_values = tuple(int(x) for x in fields["n"].split(","))
+    if not n_values or any(n < 1 for n in n_values):
+        raise ValueError("n values must be positive")
+    seeds = _parse_seed_field(fields["seeds"])
+    if not seeds:
+        raise ValueError("empty seed list")
+    threshold = float(fields["threshold"]) if "threshold" in fields else None
+    return ExperimentSpec(prop, n_values, seeds, threshold)

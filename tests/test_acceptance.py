@@ -24,6 +24,7 @@ from matpart.model import (
     coloring_matrix,
     common_neighborhood,
     is_embedding,
+    rho_three_coloring,
     type_from_matrix,
     vertex_pairs,
 )
@@ -34,7 +35,6 @@ from matpart.constructions import (
     plant_pattern,
     reduction_graph,
     restricted_placement_unsat,
-    rho_three_coloring,
 )
 from matpart.randtypes import (
     MCProperty,

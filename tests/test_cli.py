@@ -129,8 +129,7 @@ class TestGenType:
         res = run_cli("gen-type", "--n", "8", "--model", "friendly", "--seed", "3",
                       "--plant", "thm1", "--out", str(out))
         assert res.returncode == 0
-        from matpart.constructions import rho_obstruction_family
-        from matpart.model import find_subtype_copy
+        from matpart.model import find_subtype_copy, rho_obstruction_family
         from matpart.textio import parse_type
 
         tau = parse_type(out.read_text())

@@ -15,6 +15,8 @@ from matpart.model import (
     SubtypeCopy,
     coloring_matrix,
     is_embedding,
+    rho_obstruction_family,
+    rho_three_coloring,
     type_from_matrix,
     type_is_friendly,
     vertex_pairs,
@@ -27,13 +29,10 @@ from matpart.constructions import (
     plant_pattern,
     reduction_graph,
     restricted_placement_unsat,
-    rho_obstruction_family,
-    rho_three_coloring,
-    serialize_obstruction_instance,
-    serialize_reduction_instance,
 )
 from matpart.randtypes import RandomSpec, sample_type
 from matpart.solver import brute_force_has_embedding, find_embedding
+from matpart.textio import serialize_obstruction_instance, serialize_reduction_instance
 
 
 def identity_instance(m=1):

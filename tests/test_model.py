@@ -25,12 +25,13 @@ from matpart.model import (
     is_split_graph,
     is_type_homomorphism,
     matrix_from_type,
+    rho_obstruction_family,
+    rho_three_coloring,
     subtype,
     type_from_matrix,
     type_is_friendly,
     vertex_pairs,
 )
-from matpart.constructions import rho_obstruction_family, rho_three_coloring
 from matpart.randtypes import RandomSpec, plant_subtype, sample_type
 
 

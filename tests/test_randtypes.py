@@ -16,9 +16,9 @@ from matpart.model import (
     TypeGraph,
     common_neighborhood,
     find_subtype_copy,
+    rho_obstruction_family,
     type_is_friendly,
 )
-from matpart.constructions import rho_obstruction_family
 from matpart.randtypes import (
     EXHAUSTIVE_TUPLE_LIMIT,
     LemmaReport,
@@ -31,13 +31,12 @@ from matpart.randtypes import (
     exact_membership_probability,
     exhaustive_tuple_space,
     monte_carlo,
-    parse_experiment_spec,
     part_i_violation_probability,
     plant_subtype,
-    run_experiment,
     sample_type,
     splitmix_draw,
 )
+from matpart.textio import parse_experiment_spec
 
 
 class TestSampling:
@@ -182,16 +181,6 @@ class TestExactProbabilities:
                 value = exact_membership_probability(scenario).value
                 assert value <= last
                 last = value
-
-    def test_inconsistent_pairwise_colors_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            MembershipScenario(
-                "friendly",
-                RED,
-                (("r1", RED), ("r2", RED)),
-                (("r1", "r2"),),
-                pairwise=(("r1", "r2", GREEN),),
-            )
 
     def empirical_membership(self, n, seeds, tuple_vertices, sets, candidate_color):
         hits = trials = 0
@@ -424,6 +413,27 @@ class TestLemmaCheckers:
         with pytest.raises(ValueError, match="sampled"):
             check_neighborhood_lemma(tau, "nsize", mode="exhaustive")
 
+    @pytest.mark.parametrize(
+        "lemma_id, spec",
+        [
+            ("nsize", RandomSpec(3, "friendly", 1)),
+            ("nsize", RandomSpec(4, "friendly", 2)),
+            ("nsize2", RandomSpec(6, "friendly", 3)),
+            ("nsize3", RandomSpec(5, "general", 4)),
+            ("nsize3", RandomSpec(7, "general", 5)),
+        ],
+    )
+    def test_exhaustive_guard_trips_exactly_above_the_space(
+        self, monkeypatch, lemma_id, spec
+    ):
+        tau = sample_type(spec)
+        space = exhaustive_tuple_space(tau, lemma_id)
+        monkeypatch.setattr("matpart.randtypes.EXHAUSTIVE_TUPLE_LIMIT", space)
+        assert check_neighborhood_lemma(tau, lemma_id, mode="exhaustive").samples > 0
+        monkeypatch.setattr("matpart.randtypes.EXHAUSTIVE_TUPLE_LIMIT", space - 1)
+        with pytest.raises(ValueError, match=f"tuple space {space} exceeds {space - 1}"):
+            check_neighborhood_lemma(tau, lemma_id, mode="exhaustive")
+
     def test_mean_intersection_size_concentrates(self):
         # per-vertex membership probability 7/18 implies mean ~ (7/18) * 2n
         n = 200
@@ -488,10 +498,10 @@ threshold=0.5
         assert spec.n_values == (10, 15)
         assert spec.seeds == tuple(range(10))
         assert spec.threshold == 0.5
-        summaries = run_experiment(spec)
+        summaries = monte_carlo(spec.prop, spec.n_values, spec.seeds)
         assert len(summaries) == 2
         assert all(s.trials == 10 for s in summaries)
-        assert run_experiment(spec) == summaries
+        assert monte_carlo(spec.prop, spec.n_values, spec.seeds) == summaries
 
     def test_seed_count_form(self):
         spec = parse_experiment_spec("property=block_rows\nn=5\nseeds=7\n")

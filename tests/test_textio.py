@@ -112,10 +112,6 @@ set=b1,b2
         assert scenario.candidate_color == RED
         assert scenario.sets == (("r1", "r2"), ("b1", "b2"))
 
-    def test_pair_lines(self):
-        scenario = parse_scenario(self.TEXT + "pair=r1:b1:green\n")
-        assert scenario.pairwise == (("r1", "b1", GREEN),)
-
     def test_missing_model(self):
         with pytest.raises(ParseError, match="model"):
             parse_scenario("candidate=red\n")
