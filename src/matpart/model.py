@@ -20,6 +20,7 @@ RED, BLUE, GREEN = 0, 1, 2
 ZERO, ONE, STAR = 0, 1, 2  # matrix entries, aligned with the color correspondence
 
 COLOR_NAMES = ("red", "blue", "green")
+_EDGE_COLORS = frozenset((RED, BLUE, GREEN))
 ENTRY_CHARS = "01*"
 
 VertexMap = tuple  # map from vertices 0..k-1 of a domain to target vertex indices
@@ -90,9 +91,14 @@ class TypeGraph:
             raise ValueError(
                 f"expected {n * (n - 1) // 2} edge colors, got {len(self.edge_colors)}"
             )
-        for k, c in enumerate(self.edge_colors):
-            if c not in (RED, BLUE, GREEN):
-                raise ValueError(f"bad edge color {c!r} at pair index {k}")
+        try:
+            valid = set(self.edge_colors) <= _EDGE_COLORS
+        except TypeError:  # an unhashable color: the walk below names it
+            valid = False
+        if not valid:
+            for k, c in enumerate(self.edge_colors):
+                if c not in (RED, BLUE, GREEN):
+                    raise ValueError(f"bad edge color {c!r} at pair index {k}")
 
     @property
     def n(self) -> int:

@@ -7,6 +7,17 @@ layout: vertex colors in index order first (general model only; the
 friendly model's colors are fixed), then edge colors in lexicographic pair
 order.  Two-way choices use the draw mod 2, three-way choices mod 3, with
 0 -> red, 1 -> blue, 2 -> green.
+
+The lemma checkers first draw (or enumerate) their tuples with the same
+generator calls, in the same order, as a one-tuple-at-a-time walk, and
+then evaluate them LEMMA_CHUNK at a time in array code: a chunk gathers
+the members' columns of the red/blue edge indicators, so it costs memory
+in proportion to vertices x chunk.  The chunks are bounded, rather than
+every tuple taken in one gather, because that gather grows with the
+sample count: at n=200 one gather of 2000 nsize2 sets raised the peak
+memory by about 20 MB, while chunks of 128 stay within 1 MB.  Sizes are
+exact integer sums and popcounts, and the worst witnesses keep the first
+extremum, so reports do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -15,8 +26,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Sequence
+from functools import partial
+from itertools import combinations, islice, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,18 +110,17 @@ def _sample_arrays(spec: RandomSpec) -> tuple[np.ndarray, np.ndarray]:
 def sample_type(spec: RandomSpec) -> TypeGraph:
     """Deterministic-in-seed random type for the requested model."""
     colors, edges = _sample_arrays(spec)
-    return TypeGraph(tuple(int(c) for c in colors), tuple(int(c) for c in edges))
+    return TypeGraph(tuple(colors.tolist()), tuple(edges.tolist()))
 
 
 def color_matrix(tau: TypeGraph) -> np.ndarray:
     """Symmetric edge-color matrix (int8) with -1 on the diagonal."""
     n = tau.n
     mat = np.full((n, n), -1, dtype=np.int8)
-    if n > 1:
-        rows, cols = np.triu_indices(n, 1)
-        vals = np.asarray(tau.edge_colors, dtype=np.int8)
-        mat[rows, cols] = vals
-        mat[cols, rows] = vals
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # row-major = pair order
+    vals = np.fromiter(tau.edge_colors, np.int8, count=len(tau.edge_colors))
+    mat[upper] = vals
+    mat.T[upper] = vals
     return mat
 
 
@@ -274,6 +285,7 @@ def chernoff_tail_bound(eps: Fraction | float, n: int) -> float:
 # neighborhood-bound checkers
 
 EXHAUSTIVE_TUPLE_LIMIT = 10**7
+LEMMA_CHUNK = 128  # tuples evaluated together; bounds the per-chunk arrays
 
 LEMMA_THRESHOLDS = {
     "nsize": (Fraction(2, 3), Fraction(16, 27)),
@@ -328,37 +340,6 @@ class LemmaReport:
     threshold_ii: Fraction
 
 
-def _pair_membership(cmat: np.ndarray, v: int, w: int) -> np.ndarray:
-    """Boolean mask of vertices lying in the common neighborhood of {v, w}."""
-    cv, cw = cmat[:, v], cmat[:, w]
-    conflict = ((cv == RED) & (cw == BLUE)) | ((cv == BLUE) & (cw == RED))
-    mask = ~conflict
-    mask[v] = mask[w] = False
-    return mask
-
-
-def _set_membership(cmat: np.ndarray, members: Sequence[int]) -> np.ndarray:
-    cols = cmat[:, list(members)]
-    saw_red = (cols == RED).any(axis=1)
-    saw_blue = (cols == BLUE).any(axis=1)
-    mask = ~(saw_red & saw_blue)
-    mask[list(members)] = False
-    return mask
-
-
-def _extension_counts(cmat: np.ndarray, members: Sequence[int]) -> np.ndarray:
-    """counts[v] = |N(members + {v})| for every vertex v (junk at members)."""
-    cols = cmat[:, list(members)]
-    saw_red = (cols == RED).any(axis=1)
-    saw_blue = (cols == BLUE).any(axis=1)
-    red1 = saw_red[:, None] | (cmat == RED)
-    blue1 = saw_blue[:, None] | (cmat == BLUE)
-    allowed = ~(red1 & blue1)
-    allowed[list(members), :] = False
-    np.fill_diagonal(allowed, False)
-    return allowed.sum(axis=0)
-
-
 def _require_balanced(tau: TypeGraph, lemma_id: str) -> tuple[list[int], list[int]]:
     reds = list(tau.red_vertices())
     blues = list(tau.blue_vertices())
@@ -381,6 +362,9 @@ def check_neighborhood_lemma(
 
     mode "exhaustive" walks every quantified tuple (guarded at 10^7);
     "sampled" draws `samples` tuples with a generator seeded by `seed`.
+    Tuples are evaluated LEMMA_CHUNK at a time; across chunks the first
+    tuple with the smallest part-i size and the first with the largest
+    part-ii size are kept, exactly as a tuple-by-tuple walk would.
     """
     if lemma_id not in LEMMA_THRESHOLDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
@@ -389,39 +373,42 @@ def check_neighborhood_lemma(
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be positive")
     thr_i, thr_ii = LEMMA_THRESHOLDS[lemma_id]
-    cmat = color_matrix(tau)
     nv = tau.n
-
-    if lemma_id == "nsize":
-        reds, blues = _require_balanced(tau, lemma_id)
-        scale = len(reds)
-        if scale < 2:
-            raise ValueError("nsize check needs at least two vertices per color")
-        tuples_i = _nsize_tuples(tau, cmat, reds, blues, mode, samples, seed)
-    elif lemma_id == "nsize2":
-        reds, blues = _require_balanced(tau, lemma_id)
-        scale = len(reds)
-        if len(reds) < 6 or len(blues) < 3:
-            raise ValueError("nsize2 check needs six red and three blue vertices")
-        tuples_i = _fixed_set_tuples(
-            cmat, nv, mode, samples, seed, red_pool=reds, blue_pool=blues,
-            red_count=6, blue_count=3, label="nsize2",
-        )
-    else:
+    if lemma_id == "nsize3":
         scale = nv
         if nv < 3:
             raise ValueError("nsize3 check needs at least three vertices")
-        tuples_i = _fixed_set_tuples(
-            cmat, nv, mode, samples, seed, red_pool=list(range(nv)), blue_pool=[],
-            red_count=3, blue_count=0, label="nsize3",
-        )
-    if mode == "exhaustive":  # the tuple generators are lazy: nothing walked yet
+        pools = (list(range(nv)), [], 3, 0)
+    else:
+        reds, blues = _require_balanced(tau, lemma_id)
+        scale = len(reds)
+        if lemma_id == "nsize" and scale < 2:
+            raise ValueError("nsize check needs at least two vertices per color")
+        if lemma_id == "nsize2" and (len(reds) < 6 or len(blues) < 3):
+            raise ValueError("nsize2 check needs six red and three blue vertices")
+        pools = (reds, blues, 2, 2) if lemma_id == "nsize" else (reds, blues, 6, 3)
+    if mode == "exhaustive":  # before any per-type table is built
         space = exhaustive_tuple_space(tau, lemma_id)
         if space > EXHAUSTIVE_TUPLE_LIMIT:
             raise ValueError(
                 f"exhaustive tuple space {space} exceeds {EXHAUSTIVE_TUPLE_LIMIT}; "
                 "use sampled mode"
             )
+        tuples = _all_sets(*pools)
+    elif lemma_id == "nsize":
+        tuples = _nsize_draws(reds, blues, nv, samples, random.Random(f"nsize-{seed}"))
+    else:
+        tuples = _set_draws(*pools, samples, random.Random(f"{lemma_id}-{seed}"))
+
+    cmat = color_matrix(tau)
+    red, blue = cmat == RED, cmat == BLUE
+    if lemma_id != "nsize":
+        evaluate = partial(_fixed_set_sizes, red, blue, _words(~blue), _words(~red))
+    elif mode == "exhaustive":
+        all_pairs = _pair_masks(red, blue, *np.triu_indices(nv, 1))
+        evaluate = partial(_nsize_best_pair, all_pairs)
+    else:
+        evaluate = partial(_nsize_drawn_pair, red, blue)
 
     worst_i: tuple[int, ...] = ()
     worst_i_size = nv + 1
@@ -429,16 +416,18 @@ def check_neighborhood_lemma(
     worst_ii_size = -1
     checked = violations_i = 0
     cutoff_i = math.ceil(thr_i * scale)
-    for witness_i, size_i, witness_ii, size_ii in tuples_i:
-        checked += 1
-        if size_i < cutoff_i:
-            violations_i += 1
-        if size_i < worst_i_size:
-            worst_i_size = size_i
-            worst_i = witness_i
-        if size_ii > worst_ii_size:
-            worst_ii_size = size_ii
-            worst_ii = witness_ii
+    for chunk in _chunks(tuples):
+        witness_i, size_i, witness_ii, size_ii = evaluate(chunk)
+        checked += len(chunk)
+        violations_i += int((size_i < cutoff_i).sum())
+        k = int(size_i.argmin())  # argmin/argmax return the first extremum
+        if size_i[k] < worst_i_size:
+            worst_i_size = int(size_i[k])
+            worst_i = tuple(witness_i[k].tolist())
+        k = int(size_ii.argmax())
+        if size_ii[k] > worst_ii_size:
+            worst_ii_size = int(size_ii[k])
+            worst_ii = tuple(witness_ii[k].tolist())
     return LemmaReport(
         lemma_id=lemma_id,
         scale=scale,
@@ -457,76 +446,125 @@ def check_neighborhood_lemma(
     )
 
 
-def _nsize_tuples(tau, cmat, reds, blues, mode, samples, seed):
-    """Yield (witness_i, size_i, witness_ii, size_ii) per checked tuple."""
-    nv = tau.n
-    if mode == "exhaustive":
-        red_pairs = list(combinations(reds, 2))
-        blue_pairs = list(combinations(blues, 2))
-        all_pairs = list(combinations(range(nv), 2))
-        pair_masks = np.stack([_pair_membership(cmat, v, w) for v, w in all_pairs])
-        pm_int = pair_masks.astype(np.int32)
-        pair_pos = {pq: k for k, pq in enumerate(all_pairs)}
-        for r1, r2 in red_pairs:
-            mask_r = pair_masks[pair_pos[(r1, r2)]]
-            for b1, b2 in blue_pairs:
-                mask4 = mask_r & pair_masks[pair_pos[(b1, b2)]]
-                size_i = int(mask4.sum())
-                counts = pm_int @ mask4.astype(np.int32)
-                counts[pair_pos[(r1, r2)]] = -1
-                counts[pair_pos[(b1, b2)]] = -1
-                k = int(counts.argmax())
-                v, w = all_pairs[k]
-                yield (
-                    (r1, r2, b1, b2),
-                    size_i,
-                    (r1, r2, b1, b2, v, w),
-                    int(counts[k]),
-                )
-        return
-    rng = random.Random(f"nsize-{seed}")
+def _chunks(tuples: Iterator[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Consecutive (<= LEMMA_CHUNK, width) index arrays of equal-width tuples."""
+    while chunk := list(islice(tuples, LEMMA_CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _all_sets(red_pool, blue_pool, red_count, blue_count):
+    """Every set of the given color composition (reds first), lexicographically."""
+    for rsel, bsel in product(
+        combinations(red_pool, red_count), combinations(blue_pool, blue_count)
+    ):
+        yield rsel + bsel
+
+
+def _nsize_draws(reds, blues, nv, samples, rng):
+    """Sampled nsize tuples (r1, r2, b1, b2, v, w), drawn lazily in stream order."""
     for _ in range(samples):
         r1, r2 = sorted(rng.sample(reds, 2))
         b1, b2 = sorted(rng.sample(blues, 2))
-        mask4 = _pair_membership(cmat, r1, r2) & _pair_membership(cmat, b1, b2)
         while True:
             v, w = sorted(rng.sample(range(nv), 2))
             if (v, w) != (r1, r2) and (v, w) != (b1, b2):
                 break
-        mask6 = mask4 & _pair_membership(cmat, v, w)
-        yield (r1, r2, b1, b2), int(mask4.sum()), (r1, r2, b1, b2, v, w), int(
-            mask6.sum()
-        )
+        yield r1, r2, b1, b2, v, w
 
 
-def _fixed_set_tuples(
-    cmat, nv, mode, samples, seed, red_pool, blue_pool, red_count, blue_count, label
-):
-    """Sets A of fixed color composition; part ii ranges over all v outside A."""
-
-    def evaluate(members: tuple[int, ...]):
-        mask = _set_membership(cmat, members)
-        counts = _extension_counts(cmat, members)
-        outside = np.ones(nv, dtype=bool)
-        outside[list(members)] = False
-        counts = np.where(outside, counts, -1)
-        v = int(counts.argmax())
-        return members, int(mask.sum()), members + (v,), int(counts[v])
-
-    if mode == "exhaustive":
-        red_choices = list(combinations(red_pool, red_count))
-        blue_choices = (
-            list(combinations(blue_pool, blue_count)) if blue_count else [()]
-        )
-        for rsel in red_choices:
-            for bsel in blue_choices:
-                yield evaluate(tuple(rsel) + tuple(bsel))
-        return
-    rng = random.Random(f"{label}-{seed}")
+def _set_draws(red_pool, blue_pool, red_count, blue_count, samples, rng):
+    """Sampled sets of fixed color composition, drawn lazily in stream order."""
     for _ in range(samples):
         rsel = sorted(rng.sample(red_pool, red_count))
         bsel = sorted(rng.sample(blue_pool, blue_count)) if blue_count else []
-        yield evaluate(tuple(rsel) + tuple(bsel))
+        yield tuple(rsel) + tuple(bsel)
+
+
+def _pair_masks(red: np.ndarray, blue: np.ndarray, a, b) -> np.ndarray:
+    """masks[u, k]: u lies in the common neighborhood of {a[k], b[k]}.
+
+    `red`/`blue` mark the red/blue edges of the type.  u is excluded when
+    its edges to a[k] and b[k] are one red and one blue, and when it is
+    a[k] or b[k].
+    """
+    ra, ba, rb, bb = red[:, a], blue[:, a], red[:, b], blue[:, b]
+    masks = ~((ra & bb) | (ba & rb))
+    cols = np.arange(len(a))
+    masks[a, cols] = False
+    masks[b, cols] = False
+    return masks
+
+
+def _nsize_drawn_pair(red, blue, t):
+    """nsize sizes for drawn tuples t[k] = (r1, r2, b1, b2, v, w)."""
+    mask_r, mask_b, mask_vw = (
+        _pair_masks(red, blue, t[:, j], t[:, j + 1]) for j in (0, 2, 4)
+    )
+    mask4 = mask_r & mask_b
+    mask6 = mask4 & mask_vw
+    return t[:, :4], mask4.sum(axis=0), t, mask6.sum(axis=0)
+
+
+def _nsize_best_pair(pair_masks, t):
+    """nsize sizes for t[k] = (r1, r2, b1, b2); part ii takes the pair {v, w}
+    (other than {r1, r2} and {b1, b2}) that keeps the most vertices, the
+    first in lexicographic pair order among ties."""
+    nv = len(pair_masks)
+    ir = _pair_positions(t[:, 0], t[:, 1], nv)
+    ib = _pair_positions(t[:, 2], t[:, 3], nv)
+    mask4 = pair_masks[:, ir] & pair_masks[:, ib]
+    counts = pair_masks.T.astype(np.int32) @ mask4.astype(np.int32)  # integer, not BLAS
+    cols = np.arange(len(t))
+    counts[ir, cols] = -1
+    counts[ib, cols] = -1
+    best = counts.argmax(axis=0)
+    v, w = np.triu_indices(nv, 1)
+    witness_ii = np.column_stack([t, v[best], w[best]])
+    return t, mask4.sum(axis=0), witness_ii, counts[best, cols]
+
+
+def _pair_positions(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Vectorized `pair_index` for pairs i < j."""
+    return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Rows of a boolean matrix as bitsets, word-major: out[w, i] holds
+    bits 64w .. 64w+63 of row i."""
+    rows, width = bits.shape
+    packed = np.zeros((rows, -(-width // 64) * 8), dtype=np.uint8)
+    packed[:, : (width + 7) // 8] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64).T.copy()
+
+
+def _fixed_set_sizes(red, blue, not_blue_words, not_red_words, sets):
+    """Sizes for member sets A = sets[k]; part ii ranges over all v outside A.
+
+    A vertex u outside A is in N(A) unless it saw both a red and a blue
+    edge to A.  Adding v keeps a red-only u when uv is not blue, a
+    blue-only u when uv is not red, and every u that saw neither; u = v
+    itself is then taken off again.  The first two counts are popcounts of
+    bitsets (`not_blue_words[:, v]` has bit u set when uv is not blue).
+    """
+    nv, k = len(red), len(sets)
+    cols = np.arange(k)
+    outside = np.ones((nv, k), dtype=bool)
+    outside[sets, cols[:, None]] = False
+    saw_red = red[:, sets].any(axis=2) & outside
+    saw_blue = blue[:, sets].any(axis=2) & outside
+    member = outside & ~(saw_red & saw_blue)
+    counts = (member & ~saw_red & ~saw_blue).sum(axis=0)[:, None] - member.T
+    for red_only, blue_only, not_blue, not_red in zip(
+        _words((saw_red & ~saw_blue).T),
+        _words((saw_blue & ~saw_red).T),
+        not_blue_words,
+        not_red_words,
+    ):
+        counts += np.bitwise_count(red_only[:, None] & not_blue)
+        counts += np.bitwise_count(blue_only[:, None] & not_red)
+    counts[~outside.T] = -1
+    best = counts.argmax(axis=1)
+    return sets, member.sum(axis=0), np.column_stack([sets, best]), counts[cols, best]
 
 
 def exhaustive_tuple_space(tau: TypeGraph, lemma_id: str) -> int:
@@ -577,6 +615,14 @@ class MCProperty:
     def __post_init__(self) -> None:
         if self.kind not in MC_KINDS:
             raise ValueError(f"unknown property kind {self.kind!r}")
+        if self.model not in ("general", "friendly"):
+            raise ValueError(f"unknown model {self.model!r}")
+        if self.lemma_id not in LEMMA_THRESHOLDS:
+            raise ValueError(f"unknown lemma id {self.lemma_id!r}")
+        if self.lemma_mode not in ("exhaustive", "sampled"):
+            raise ValueError(f"unknown mode {self.lemma_mode!r}")
+        if self.tuple_samples < 1:
+            raise ValueError("tuple samples must be positive")
         if self.part not in ("i", "ii", "both"):
             raise ValueError(f"unknown part {self.part!r}")
         if self.rho not in PATTERNS:

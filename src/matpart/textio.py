@@ -242,6 +242,16 @@ def _parse_seed_field(text: str) -> tuple[int, ...]:
     return tuple(range(int(text)))
 
 
+def _parse_mode(text: str) -> tuple[str, int]:
+    if text == "exhaustive":
+        return "exhaustive", 200
+    if text == "sampled":
+        return "sampled", 200
+    if text.startswith("sampled:"):
+        return "sampled", int(text.split(":", 1)[1])
+    raise ValueError(text)
+
+
 def parse_experiment_spec(text: str) -> ExperimentSpec:
     """Parse an experiment description made of key=value lines.
 
@@ -250,30 +260,30 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     list; required), threshold, color, rho.
     """
     fields: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, key, value in _key_values(text):
         if key not in _EXPERIMENT_KEYS:
             raise ParseError(f"unknown experiment key {key!r}", lineno)
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", lineno)
         fields[key] = value
+        lines[key] = lineno
     for required in ("property", "n", "seeds"):
         if required not in fields:
             raise ParseError(f"missing experiment key {required!r}", 1)
 
-    lemma_mode, tuple_samples = "sampled", 200
-    if "mode" in fields:
-        mode = fields["mode"]
-        if mode == "exhaustive":
-            lemma_mode = "exhaustive"
-        elif mode.startswith("sampled:"):
-            tuple_samples = int(mode.split(":", 1)[1])
-        elif mode == "sampled":
-            pass
-        else:
-            raise ValueError(f"bad mode {mode!r}")
+    def convert(key, parse, default=None):
+        if key not in fields:
+            return default
+        try:
+            return parse(fields[key])
+        except ValueError:
+            raise ParseError(f"bad {key} {fields[key]!r}", lines[key]) from None
+
+    lemma_mode, tuple_samples = convert("mode", _parse_mode, ("sampled", 200))
     color = fields.get("color", "green")
     if color not in _COLOR_INDEX:
-        raise ValueError(f"bad color {color!r}")
+        raise ParseError(f"bad color {color!r}", lines["color"])
     prop = MCProperty(
         kind=fields["property"],
         model=fields.get("model", "friendly"),
@@ -284,11 +294,11 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         rho=fields.get("rho", "thm1"),
         color=_COLOR_INDEX[color],
     )
-    n_values = tuple(int(x) for x in fields["n"].split(","))
+    n_values = convert("n", lambda text: tuple(int(x) for x in text.split(",")))
     if not n_values or any(n < 1 for n in n_values):
-        raise ValueError("n values must be positive")
-    seeds = _parse_seed_field(fields["seeds"])
+        raise ParseError("n values must be positive", lines["n"])
+    seeds = convert("seeds", _parse_seed_field)
     if not seeds:
-        raise ValueError("empty seed list")
-    threshold = float(fields["threshold"]) if "threshold" in fields else None
+        raise ParseError("empty seed list", lines["seeds"])
+    threshold = convert("threshold", float)
     return ExperimentSpec(prop, n_values, seeds, threshold)

@@ -273,6 +273,13 @@ class TestMalformedInputs:
         assert needle in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_bad_experiment_number_is_exit_2(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("property=block_rows\nn=5,x\nseeds=3\n")
+        res = run_cli("experiment", "--spec", str(path))
+        assert res.returncode == 2
+        assert res.stderr == "error: bad n '5,x' (line 2)\n"
+
     def test_missing_file_is_exit_2(self):
         res = run_cli("check-friendly", "--matrix", "/nonexistent/m.mat")
         assert res.returncode == 2

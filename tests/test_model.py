@@ -74,6 +74,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             TypeGraph((RED, BLUE), ())
 
+    def test_type_names_the_first_bad_edge_color(self):
+        n = 5
+        pairs = n * (n - 1) // 2
+        for k in (0, 4, pairs - 1):
+            colors = [GREEN] * pairs
+            colors[k] = 3
+            with pytest.raises(ValueError, match=f"^bad edge color 3 at pair index {k}$"):
+                TypeGraph((RED,) * n, tuple(colors))
+        colors = [RED] * (pairs - 2) + [7, 3]
+        with pytest.raises(ValueError, match=f"color 7 at pair index {pairs - 2}$"):
+            TypeGraph((RED,) * n, tuple(colors))
+
+    def test_type_accepts_colors_equal_to_red_blue_green(self):
+        tau = TypeGraph((RED, BLUE, RED), (1.0, True, 2))
+        assert tau.edge(0, 1) == BLUE
+
+    def test_type_rejects_unhashable_edge_color(self):
+        with pytest.raises(ValueError, match=r"bad edge color \[1\] at pair index 1"):
+            TypeGraph((RED, BLUE, RED), (RED, [1], GREEN))
+
     def test_graph_rejects_loops(self):
         with pytest.raises(ValueError, match="loop"):
             SimpleGraph.from_edges(2, [(0, 0)])

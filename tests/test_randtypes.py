@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from matpart.model import (
@@ -21,6 +22,8 @@ from matpart.model import (
 )
 from matpart.randtypes import (
     EXHAUSTIVE_TUPLE_LIMIT,
+    LEMMA_CHUNK,
+    LEMMA_THRESHOLDS,
     LemmaReport,
     MCProperty,
     MembershipScenario,
@@ -28,6 +31,8 @@ from matpart.randtypes import (
     chernoff_exponent,
     chernoff_tail_bound,
     check_neighborhood_lemma,
+    choose_plant_positions,
+    color_matrix,
     exact_membership_probability,
     exhaustive_tuple_space,
     monte_carlo,
@@ -36,7 +41,7 @@ from matpart.randtypes import (
     sample_type,
     splitmix_draw,
 )
-from matpart.textio import parse_experiment_spec
+from matpart.textio import ParseError, parse_experiment_spec
 
 
 class TestSampling:
@@ -453,6 +458,217 @@ class TestLemmaCheckers:
         assert abs(mean - (7 / 18) * 2 * n) <= 0.02 * 2 * n
 
 
+def replayed_tuples(tau, lemma_id, mode, samples, seed):
+    """The checker's tuple stream, one tuple at a time: (witness_i, size_i,
+    witness_ii, size_ii), with the sizes from common_neighborhood."""
+    nv = tau.n
+    reds, blues = list(tau.red_vertices()), list(tau.blue_vertices())
+    cn = {}
+
+    def hood(members):
+        key = tuple(sorted(members))
+        if key not in cn:
+            cn[key] = common_neighborhood(tau, key)
+        return cn[key]
+
+    if lemma_id == "nsize":
+        if mode == "sampled":
+            rng = random.Random(f"nsize-{seed}")
+            for _ in range(samples):
+                r1, r2 = sorted(rng.sample(reds, 2))
+                b1, b2 = sorted(rng.sample(blues, 2))
+                while True:
+                    v, w = sorted(rng.sample(range(nv), 2))
+                    if (v, w) != (r1, r2) and (v, w) != (b1, b2):
+                        break
+                base = hood((r1, r2)) & hood((b1, b2))
+                yield (r1, r2, b1, b2), len(base), (r1, r2, b1, b2, v, w), len(
+                    base & hood((v, w))
+                )
+            return
+        for rp in combinations(reds, 2):
+            for bp in combinations(blues, 2):
+                base = hood(rp) & hood(bp)
+                best = max(  # max() keeps the first maximum
+                    (
+                        (len(base & hood(vw)), vw)
+                        for vw in combinations(range(nv), 2)
+                        if vw not in (rp, bp)
+                    ),
+                    key=lambda sv: sv[0],
+                )
+                yield rp + bp, len(base), rp + bp + best[1], best[0]
+        return
+    if lemma_id == "nsize2":
+        red_pool, blue_pool, red_count, blue_count = reds, blues, 6, 3
+    else:
+        red_pool, blue_pool, red_count, blue_count = list(range(nv)), [], 3, 0
+    if mode == "sampled":
+        rng = random.Random(f"{lemma_id}-{seed}")
+        sets = []
+        for _ in range(samples):
+            rsel = sorted(rng.sample(red_pool, red_count))
+            bsel = sorted(rng.sample(blue_pool, blue_count)) if blue_count else []
+            sets.append(tuple(rsel) + tuple(bsel))
+    else:
+        sets = [
+            r + b
+            for r in combinations(red_pool, red_count)
+            for b in combinations(blue_pool, blue_count)
+        ]
+    for members in sets:
+        size_ii, v = max(  # max() keeps the first maximum: the lowest v
+            (
+                (len(common_neighborhood(tau, members + (v,))), v)
+                for v in range(nv)
+                if v not in members
+            ),
+            key=lambda sv: sv[0],
+        )
+        yield members, len(hood(members)), members + (v,), size_ii
+
+
+def reference_report(tau, lemma_id, mode, samples=0, seed=0):
+    """LemmaReport built from the per-tuple replay: first smallest part-i
+    size, first largest part-ii size, violations counted one by one."""
+    thr_i, thr_ii = LEMMA_THRESHOLDS[lemma_id]
+    scale = tau.n if lemma_id == "nsize3" else len(tau.red_vertices())
+    rows = list(replayed_tuples(tau, lemma_id, mode, samples, seed))
+    worst_i = min(rows, key=lambda row: row[1])
+    worst_ii = max(rows, key=lambda row: row[3])
+    violations = sum(row[1] < thr_i * scale for row in rows)
+    return LemmaReport(
+        lemma_id=lemma_id,
+        scale=scale,
+        vertex_count=tau.n,
+        mode=mode,
+        samples=len(rows),
+        part_i_holds=violations == 0,
+        part_i_violations=violations,
+        part_ii_holds=worst_ii[3] <= thr_ii * scale,
+        worst_i=worst_i[0],
+        worst_i_size=worst_i[1],
+        worst_ii=worst_ii[2],
+        worst_ii_size=worst_ii[3],
+        threshold_i=thr_i,
+        threshold_ii=thr_ii,
+    )
+
+
+def all_green(vertex_colors):
+    n = len(vertex_colors)
+    return TypeGraph(tuple(vertex_colors), (GREEN,) * (n * (n - 1) // 2))
+
+
+CHUNK_EDGES = (1, LEMMA_CHUNK - 1, LEMMA_CHUNK, LEMMA_CHUNK + 1, 2 * LEMMA_CHUNK + 1)
+
+
+class TestChunkedLemmaEvaluation:
+    def test_pinned_sampled_outputs(self):
+        # captured from the tuple-at-a-time checker
+        rep = check_neighborhood_lemma(
+            sample_type(RandomSpec(200, "friendly", 7)), "nsize", "sampled",
+            samples=1000, seed=7,
+        )
+        assert (rep.worst_i, rep.worst_i_size) == ((11, 88, 258, 353), 124)
+        assert (rep.worst_ii, rep.worst_ii_size) == ((12, 168, 289, 369, 37, 381), 126)
+        assert rep.part_i_violations == 20
+        rep = check_neighborhood_lemma(
+            sample_type(RandomSpec(200, "general", 7)), "nsize3", "sampled",
+            samples=200, seed=7,
+        )
+        assert (rep.worst_i, rep.worst_i_size) == ((28, 68, 156), 83)
+        assert (rep.worst_ii, rep.worst_ii_size) == ((0, 48, 91, 55), 104)
+        assert rep.part_i_violations == 39
+
+    @pytest.mark.parametrize("samples", CHUNK_EDGES)
+    @pytest.mark.parametrize(
+        "lemma_id, spec",
+        [
+            ("nsize", RandomSpec(12, "friendly", 21)),
+            ("nsize2", RandomSpec(8, "friendly", 22)),
+            ("nsize3", RandomSpec(15, "general", 23)),
+        ],
+    )
+    def test_sampled_matches_per_tuple_replay(self, lemma_id, spec, samples):
+        tau = sample_type(spec)
+        for seed in (0, 5):
+            rep = check_neighborhood_lemma(tau, lemma_id, "sampled", samples, seed)
+            assert rep == reference_report(tau, lemma_id, "sampled", samples, seed)
+
+    @pytest.mark.parametrize(
+        "lemma_id, spec",
+        [
+            ("nsize", RandomSpec(6, "friendly", 24)),  # 225 tuples
+            ("nsize2", RandomSpec(7, "friendly", 25)),  # 245 sets
+            ("nsize3", RandomSpec(12, "general", 26)),  # 220 sets
+        ],
+    )
+    def test_exhaustive_matches_per_tuple_replay(self, lemma_id, spec):
+        tau = sample_type(spec)
+        rep = check_neighborhood_lemma(tau, lemma_id, "exhaustive")
+        assert rep.samples > LEMMA_CHUNK
+        assert rep == reference_report(tau, lemma_id, "exhaustive")
+
+    @pytest.mark.parametrize("samples", CHUNK_EDGES)
+    def test_all_green_ties_keep_the_first_tuple(self, samples):
+        friendly = all_green((RED,) * 12 + (BLUE,) * 12)
+        general = all_green((RED, BLUE) * 8)
+        for tau, lemma_id in ((friendly, "nsize"), (friendly, "nsize2"), (general, "nsize3")):
+            rep = check_neighborhood_lemma(tau, lemma_id, "sampled", samples, seed=3)
+            assert rep == reference_report(tau, lemma_id, "sampled", samples, seed=3)
+            first = next(replayed_tuples(tau, lemma_id, "sampled", 1, 3))
+            assert rep.worst_i == first[0]
+            assert rep.worst_i_size == tau.n - len(first[0])
+
+    def test_all_green_exhaustive_ties_keep_the_first_tuple(self):
+        for tau, lemma_id, first in (
+            (all_green((RED,) * 6 + (BLUE,) * 6), "nsize", (0, 1, 6, 7)),  # 225 tuples
+            (all_green((RED, BLUE) * 6), "nsize3", (0, 1, 2)),  # 220 sets
+        ):
+            rep = check_neighborhood_lemma(tau, lemma_id, "exhaustive")
+            assert rep.samples > LEMMA_CHUNK
+            assert rep == reference_report(tau, lemma_id, "exhaustive")
+            assert rep.worst_i == first
+
+
+def old_color_matrix(tau):
+    """The element-by-element construction color_matrix replaced."""
+    n = tau.n
+    mat = np.full((n, n), -1, dtype=np.int8)
+    if n > 1:
+        rows, cols = np.triu_indices(n, 1)
+        vals = np.asarray(tau.edge_colors, dtype=np.int8)
+        mat[rows, cols] = vals
+        mat[cols, rows] = vals
+    return mat
+
+
+class TestColorMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_matches_elementwise_construction(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            tau = TypeGraph(
+                tuple(rng.choice((RED, BLUE)) for _ in range(n)),
+                tuple(rng.choice((RED, BLUE, GREEN)) for _ in range(n * (n - 1) // 2)),
+            )
+            mat = color_matrix(tau)
+            assert mat.dtype == np.int8 and mat.shape == (n, n)
+            assert np.array_equal(mat, old_color_matrix(tau))
+
+    def test_planted_type(self):
+        tau = sample_type(RandomSpec(9, "friendly", 4))
+        pattern = rho_obstruction_family()
+        planted = plant_subtype(tau, pattern, choose_plant_positions(tau, pattern, 4))
+        assert np.array_equal(color_matrix(planted), old_color_matrix(planted))
+
+    def test_colors_equal_to_ints(self):
+        tau = TypeGraph((RED, BLUE, RED), (1.0, True, GREEN))
+        assert np.array_equal(color_matrix(tau), old_color_matrix(tau))
+        assert color_matrix(tau)[0].tolist() == [-1, BLUE, BLUE]
+
+
 class TestMonteCarlo:
     def test_block_rows_almost_always_distinct(self):
         prop = MCProperty(kind="block_rows", model="friendly")
@@ -514,3 +730,57 @@ threshold=0.5
     def test_missing_required_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             parse_experiment_spec("property=block_rows\nn=5\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n=5,x", "bad n '5,x' (line 2)"),
+            ("seeds=1..y", "bad seeds '1..y' (line 2)"),
+            ("mode=sampled:many", "bad mode 'sampled:many' (line 2)"),
+            ("mode=random", "bad mode 'random' (line 2)"),
+            ("threshold=high", "bad threshold 'high' (line 2)"),
+        ],
+    )
+    def test_bad_number_names_key_and_line(self, line, message):
+        key = line.split("=")[0]
+        lines = ["property=lemma", line] + [
+            f"{k}=3" for k in ("n", "seeds") if k != key
+        ]
+        with pytest.raises(ParseError) as info:
+            parse_experiment_spec("\n".join(lines) + "\n")
+        assert str(info.value) == message
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("model=weird", "unknown model 'weird'"),
+            ("lemma=bogus", "unknown lemma id 'bogus'"),
+            ("mode=sampled:0", "tuple samples must be positive"),
+        ],
+    )
+    def test_bad_property_fields_rejected_at_parse_time(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            parse_experiment_spec(f"property=lemma\n{line}\nn=5\nseeds=2\n")
+
+
+class TestMCPropertyValidation:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"model": "weird"}, "unknown model"),
+            ({"lemma_id": "nsize4"}, "unknown lemma id"),
+            ({"lemma_mode": "random"}, "unknown mode"),
+            ({"tuple_samples": 0}, "tuple samples must be positive"),
+            ({"tuple_samples": -3}, "tuple samples must be positive"),
+        ],
+    )
+    def test_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MCProperty(kind="lemma", **kwargs)
+
+    def test_defaults_and_every_valid_choice_accepted(self):
+        for model in ("general", "friendly"):
+            for lemma_id in LEMMA_THRESHOLDS:
+                for mode in ("exhaustive", "sampled"):
+                    MCProperty("lemma", model, lemma_id, lemma_mode=mode, tuple_samples=1)
