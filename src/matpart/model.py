@@ -256,8 +256,8 @@ def matrix_from_type(tau: TypeGraph) -> PartitionMatrix:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = tau.vertex_colors[i]
-    for i, j in vertex_pairs(n):
-        rows[i][j] = rows[j][i] = tau.edge(i, j)
+    for (i, j), c in zip(vertex_pairs(n), tau.edge_colors):
+        rows[i][j] = rows[j][i] = c
     return PartitionMatrix.from_rows(rows)
 
 
@@ -328,8 +328,9 @@ def is_friendly(mat: PartitionMatrix) -> bool:
 
 def type_is_friendly(tau: TypeGraph) -> bool:
     """No green edge between two red vertices or between two blue vertices."""
-    for i, j in vertex_pairs(tau.n):
-        if tau.edge(i, j) == GREEN and tau.vertex_colors[i] == tau.vertex_colors[j]:
+    vc = tau.vertex_colors
+    for (i, j), c in zip(vertex_pairs(tau.n), tau.edge_colors):
+        if c == GREEN and vc[i] == vc[j]:
             return False
     return True
 

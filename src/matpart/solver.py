@@ -8,17 +8,19 @@ from g, read as a type with blue edges and red non-edges, so both share the
 target rows of _hom_rows.  Everything is complete (no heuristics that lose
 solutions), and a node limit turns the answer into a tri-state so a timeout
 is never mistaken for "no embedding".
+
+Obstruction enumeration drops isomorphic duplicates by canonical_code, the
+least adjacency bitstring over all relabelings.  It is found exactly by a
+search over ordered vertex partitions with twin pruning, not by trying all
+n! relabelings, which lets the canonical form reach 10 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator
-
-import numpy as np
 
 from .model import (
     BLUE,
@@ -140,41 +142,88 @@ def is_minimal_obstruction(g: SimpleGraph, tau: TypeGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms (desk scale: n <= 8, minimum adjacency bitstring)
+# canonical forms (n <= 10, minimum adjacency bitstring by partition refinement)
 
-MAX_CANONICAL_N = 8
-
-
-@lru_cache(maxsize=None)
-def _perm_array(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _pair_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n, 1)
-    k = len(iu[0])
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)  # (0,1) is the top bit
-    return iu[0], iu[1], weights
+MAX_CANONICAL_N = 10
 
 
 def canonical_code(g: SimpleGraph) -> int:
     """Minimum adjacency bitstring over all vertex relabelings, as an integer.
 
-    Bit order is lexicographic over pairs with (0,1) most significant.
+    Bit order is lexicographic over pairs with (0,1) most significant, so
+    the code is row 0 (vertex 0 against 1..n-1), then row 1, and so on.
+
+    The minimum is found exactly without trying all n! relabelings.  A
+    search node is a placed prefix plus an ordered partition of the
+    unplaced vertices into cells, as bitsets; level k places position k
+    from the first cell and fixes row k.  For a choice v, row k is the
+    concatenation over the cells (the first minus v, then the others) of
+    0^(s-o) 1^o, where s is the cell's size and o the number of v's
+    neighbours in it.  Every (node, v) whose row ties the least row of the
+    level, across all nodes, survives, and each of its cells splits into
+    the non-neighbours of v followed by the neighbours of v.
+
+    Why this is exact: the least code first minimises row 0, then row 1,
+    and so on.  Once rows 0..k-1 are fixed, the orderings that keep them
+    are exactly those that list the cells in order, so within each cell
+    the non-neighbours of the vertex at position k must come first for row
+    k to be least.  The fixed rows determine the cells, so every surviving
+    node has the same cell sizes and their rows are comparable.
+
+    Twin rule: v is skipped when a vertex u tried before it in the same
+    cell has N(v) = N(u) or N[v] = N[u].  Swapping u and v is then an
+    automorphism that fixes the prefix and every cell, so both subtrees
+    give the same codes.  Without it the empty and complete graphs would
+    grow n! nodes.
     """
     n = g.n
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical form supported up to {MAX_CANONICAL_N} vertices")
-    if n <= 1:
-        return 0
-    adj = np.zeros((n, n), dtype=np.int64)
+    nbr = [0] * n
     for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1
-    perms = _perm_array(n)
-    rows, cols, weights = _pair_weights(n)
-    bits = adj[perms[:, rows], perms[:, cols]]
-    return int((bits @ weights).min())
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    code = 0
+    nodes = [((1 << n) - 1,)]
+    for bits in range(n - 1, 0, -1):  # row k has n-1-k bits
+        best = 1 << bits
+        survivors: list[tuple[tuple[int, ...], int]] = []
+        for cells in nodes:
+            first = cells[0]
+            others = cells[1:]
+            twins: set[int] = set()
+            rest = first
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nv = nbr[bit.bit_length() - 1]
+                # one set serves both twin kinds: N(v) = N[u] cannot hold, as it
+                # puts u in N(v), so v in N[u] = N(v)
+                if nv in twins or (nv | bit) in twins:
+                    continue
+                twins.add(nv)
+                twins.add(nv | bit)
+                row = (1 << (first & nv).bit_count()) - 1  # first minus v: v is no neighbour of v
+                for cell in others:
+                    row = row << cell.bit_count() | (1 << (cell & nv).bit_count()) - 1
+                if row > best:
+                    continue
+                if row < best:
+                    best = row
+                    survivors = []
+                survivors.append((cells, bit))
+        code = code << bits | best
+        nodes = []
+        for cells, bit in survivors:
+            nv = nbr[bit.bit_length() - 1]
+            split = []
+            for cell in (cells[0] ^ bit,) + cells[1:]:
+                if cell & ~nv:
+                    split.append(cell & ~nv)
+                if cell & nv:
+                    split.append(cell & nv)
+            nodes.append(tuple(split))
+    return code
 
 
 def graph_from_code(n: int, code: int) -> SimpleGraph:

@@ -139,6 +139,37 @@ class TestConversions:
             tau = random_type(rng, rng.randint(1, 6))
             assert type_from_matrix(matrix_from_type(tau)) == tau
 
+    def test_matches_per_pair_lookup(self):
+        """matrix_from_type and type_is_friendly against one tau.edge call per
+        pair, on a planted 30-vertex type and a sampled type of each model."""
+
+        def per_pair_matrix(tau):
+            return PartitionMatrix.from_rows(
+                [tau.vertex_colors[i] if i == j else tau.edge(i, j) for j in range(tau.n)]
+                for i in range(tau.n)
+            )
+
+        def per_pair_friendly(tau):
+            return not any(
+                tau.edge(i, j) == GREEN and tau.vertex_colors[i] == tau.vertex_colors[j]
+                for i, j in vertex_pairs(tau.n)
+            )
+
+        planted = plant_subtype(
+            sample_type(RandomSpec(15, "friendly", 3)),
+            rho_obstruction_family(),
+            [2, 7, 11, 16, 20, 29],
+        )
+        types = [
+            planted,
+            sample_type(RandomSpec(15, "friendly", 4)),
+            sample_type(RandomSpec(30, "general", 5)),
+        ]
+        assert [per_pair_friendly(tau) for tau in types] == [True, True, False]
+        for tau in types:
+            assert matrix_from_type(tau) == per_pair_matrix(tau)
+            assert type_is_friendly(tau) == per_pair_friendly(tau)
+
 
 class TestColoringAndHomomorphismMatrices:
     def test_coloring_matrix_one(self):

@@ -4,8 +4,10 @@ exhaustive filters, canonical forms, and the fixed-point scan."""
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from matpart.model import (
@@ -27,12 +29,14 @@ from matpart.solver import (
     FixedPointReport,
     SearchResult,
     SolverConfig,
+    are_isomorphic,
     brute_force_has_embedding,
     canonical_code,
     canonical_graph,
     enumerate_edge_homomorphisms,
     enumerate_minimal_obstructions,
     find_embedding,
+    graph_from_code,
     has_embedding,
     is_minimal_obstruction,
     min_fixed_points,
@@ -195,6 +199,46 @@ class TestMinimalObstruction:
         assert is_minimal_obstruction(SimpleGraph.cycle(7), two_coloring_type())
 
 
+@lru_cache(maxsize=None)
+def _relabelings(n):
+    """Endpoints of every pair under all n! relabelings, and the pair weights."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    rows, cols = np.triu_indices(n, 1)
+    weights = 1 << np.arange(len(rows) - 1, -1, -1, dtype=np.int64)  # (0,1) is the top bit
+    return perms[:, rows], perms[:, cols], weights
+
+
+def brute_force_code(g):
+    """Minimum adjacency bitstring over all n! relabelings, in one numpy gather."""
+    n = g.n
+    if n <= 1:
+        return 0
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    left, right, weights = _relabelings(n)
+    return int((adj[left, right] @ weights).min())
+
+
+def relabeled(g, perm):
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def petersen():
+    return SimpleGraph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)],
+    )
+
+
+def two_c5():
+    return SimpleGraph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    )
+
+
 class TestCanonicalForms:
     def test_invariant_under_relabeling(self):
         rng = random.Random(7)
@@ -203,10 +247,7 @@ class TestCanonicalForms:
             g = random_graph(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
-            relabeled = SimpleGraph.from_edges(
-                n, [(perm[u], perm[v]) for u, v in g.edges]
-            )
-            assert canonical_code(g) == canonical_code(relabeled)
+            assert canonical_code(g) == canonical_code(relabeled(g, perm))
 
     def test_distinguishes_nonisomorphic(self):
         assert canonical_code(SimpleGraph.path(4)) != canonical_code(
@@ -216,6 +257,100 @@ class TestCanonicalForms:
     def test_canonical_graph_is_isomorphic_representative(self):
         g = SimpleGraph.cycle(5)
         assert canonical_code(canonical_graph(g)) == canonical_code(g)
+
+    def test_matches_brute_force_on_every_graph_to_six(self):
+        for n in range(7):
+            pairs = list(vertex_pairs(n))
+            for mask in range(1 << len(pairs)):
+                g = SimpleGraph.from_edges(
+                    n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                )
+                assert canonical_code(g) == brute_force_code(g), (n, sorted(g.edges))
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(11)
+        for n, count in ((7, 1000), (8, 100)):
+            for _ in range(count):
+                g = random_graph(rng, n, rng.random())
+                assert canonical_code(g) == brute_force_code(g), (n, sorted(g.edges))
+
+    def test_matches_brute_force_on_symmetric_graphs(self):
+        graphs = [
+            make(n)
+            for n in (7, 8)
+            for make in (SimpleGraph.empty, SimpleGraph.complete, SimpleGraph.cycle, SimpleGraph.path)
+        ]
+        cube = SimpleGraph.from_edges(
+            8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if not v >> b & 1]
+        )
+        k44 = SimpleGraph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
+        for g in graphs + [cube, k44]:
+            assert canonical_code(g) == brute_force_code(g), (g.n, sorted(g.edges))
+
+    def test_ten_vertex_graphs_keep_their_code_under_relabeling(self):
+        rng = random.Random(12)
+        codes = set()
+        for g in (petersen(), two_c5(), SimpleGraph.cycle(10)):
+            code = canonical_code(g)
+            codes.add(code)
+            for _ in range(20):
+                perm = list(range(10))
+                rng.shuffle(perm)
+                assert canonical_code(relabeled(g, perm)) == code
+            assert canonical_code(graph_from_code(10, code)) == code
+        assert len(codes) == 3
+
+    def test_size_guard(self):
+        assert canonical_code(SimpleGraph.empty(10)) == 0
+        with pytest.raises(ValueError, match="up to 10"):
+            canonical_code(SimpleGraph.empty(11))
+
+    def test_relabeling_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=200, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(0, 10), label="order")
+            pairs = list(vertex_pairs(n))
+            present = data.draw(
+                st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+            )
+            g = SimpleGraph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+            perm = data.draw(st.permutations(range(n)), label="relabeling")
+            code = canonical_code(g)
+            assert canonical_code(relabeled(g, perm)) == code
+            assert canonical_code(graph_from_code(n, code)) == code
+
+        check()
+
+    def test_isomorphism_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def as_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            return h
+
+        rng = random.Random(13)
+        for _ in range(100):
+            n = rng.choice((9, 10))
+            g = random_graph(rng, n, rng.random())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            edges, non_edges = sorted(h.edges), sorted(set(vertex_pairs(n)) - h.edges)
+            if edges and non_edges:  # move one edge: same edge count, often not isomorphic
+                moved = set(edges) - {rng.choice(edges)} | {rng.choice(non_edges)}
+                pairs = [(g, h), (g, SimpleGraph(n, frozenset(moved)))]
+            else:
+                pairs = [(g, h)]
+            for a, b in pairs:
+                assert are_isomorphic(a, b) == nx.is_isomorphic(as_nx(a), as_nx(b))
 
 
 def independent_bipartite(g: SimpleGraph) -> bool:
@@ -288,9 +423,15 @@ class TestEnumeration:
         assert len(set(codes)) == len(codes)
         assert codes == sorted(codes)
 
+    def test_two_coloring_up_to_eight_is_the_odd_cycles(self):
+        got = enumerate_minimal_obstructions(two_coloring_type(), 8)
+        assert [(g.n, canonical_code(g)) for g in got] == [
+            (k, canonical_code(SimpleGraph.cycle(k))) for k in (3, 5, 7)
+        ]
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            enumerate_minimal_obstructions(two_coloring_type(), 9)
+            enumerate_minimal_obstructions(two_coloring_type(), 11)
 
 
 class TestEdgeHomomorphisms:
