@@ -13,7 +13,7 @@ function, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 RED, BLUE, GREEN = 0, 1, 2
@@ -21,6 +21,7 @@ ZERO, ONE, STAR = 0, 1, 2  # matrix entries, aligned with the color corresponden
 
 COLOR_NAMES = ("red", "blue", "green")
 _EDGE_COLORS = frozenset((RED, BLUE, GREEN))
+_ENTRIES = frozenset((ZERO, ONE, STAR))
 ENTRY_CHARS = "01*"
 
 VertexMap = tuple  # map from vertices 0..k-1 of a domain to target vertex indices
@@ -45,18 +46,30 @@ class PartitionMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        m = len(self.entries)
-        for i, row in enumerate(self.entries):
+        entries = self.entries
+        m = len(entries)
+        try:
+            valid = (
+                all(len(row) == m for row in entries)
+                and set().union(*entries) <= _ENTRIES
+                and STAR not in [row[i] for i, row in enumerate(entries)]
+                and tuple(zip(*entries)) == entries
+            )
+        except (TypeError, LookupError):  # an odd row or entry: the walk below names it
+            valid = False
+        if valid:
+            return
+        for i, row in enumerate(entries):
             if len(row) != m:
                 raise ValueError(f"row {i} has length {len(row)}, expected {m}")
             for j, e in enumerate(row):
                 if e not in (ZERO, ONE, STAR):
                     raise ValueError(f"bad entry {e!r} at ({i}, {j})")
         for i in range(m):
-            if self.entries[i][i] == STAR:
+            if entries[i][i] == STAR:
                 raise ValueError(f"star on diagonal {i}")
             for j in range(i + 1, m):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError(f"not symmetric ({i},{j})")
 
     @classmethod
@@ -244,21 +257,28 @@ class SubtypeCopy:
 
 def type_from_matrix(mat: PartitionMatrix) -> TypeGraph:
     """Type view of a matrix: diagonal 0/1 -> red/blue vertex, entries -> edge colors."""
-    m = mat.m
-    vertex_colors = tuple(mat.entries[i][i] for i in range(m))
-    edge_colors = tuple(mat.entries[i][j] for i, j in vertex_pairs(m))
+    rows = mat.entries
+    vertex_colors = tuple(row[i] for i, row in enumerate(rows))
+    edge_colors = tuple(chain.from_iterable(row[i + 1 :] for i, row in enumerate(rows)))
     return TypeGraph(vertex_colors, edge_colors)
 
 
 def matrix_from_type(tau: TypeGraph) -> PartitionMatrix:
-    """Exact inverse of type_from_matrix."""
-    n = tau.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = tau.vertex_colors[i]
-    for (i, j), c in zip(vertex_pairs(n), tau.edge_colors):
-        rows[i][j] = rows[j][i] = c
-    return PartitionMatrix.from_rows(rows)
+    """Exact inverse of type_from_matrix.
+
+    Row i's diagonal and right half come from the edge colors of the pairs
+    (i, i+1), ..., (i, n-1), which are consecutive; its left half is column
+    i of those upper rows.
+    """
+    n, colors = tau.n, tau.edge_colors
+    upper = []
+    k = 0
+    for i, c in enumerate(tau.vertex_colors):
+        upper.append((ZERO,) * i + (c,) + colors[k : k + n - 1 - i])
+        k += n - 1 - i
+    return PartitionMatrix.from_rows(
+        column[:i] + row[i:] for i, (row, column) in enumerate(zip(upper, zip(*upper)))
+    )
 
 
 def coloring_matrix(k: int) -> PartitionMatrix:
@@ -521,19 +541,18 @@ def is_embedding(g: SimpleGraph, tau: TypeGraph, psi: Sequence[int]) -> bool:
     for t in psi:
         if not 0 <= t < tau.n:
             raise ValueError(f"image vertex {t} outside type")
+    n, vertex_colors, edge_colors, edges = tau.n, tau.vertex_colors, tau.edge_colors, g.edges
     for u, v in vertex_pairs(g.n):
         s, t = psi[u], psi[v]
-        if g.has_edge(u, v):
-            if s == t:
-                if tau.vertex_colors[s] != BLUE:
-                    return False
-            elif tau.edge(s, t) == RED:
+        if s == t:
+            if vertex_colors[s] != (BLUE if (u, v) in edges else RED):
                 return False
         else:
-            if s == t:
-                if tau.vertex_colors[s] != RED:
-                    return False
-            elif tau.edge(s, t) == BLUE:
+            if s > t:
+                s, t = t, s
+            # pair_index(s, t, n), inline: this loop runs once per pair of g
+            c = edge_colors[s * (2 * n - s - 3) // 2 + t - 1]
+            if c == (RED if (u, v) in edges else BLUE):
                 return False
     return True
 

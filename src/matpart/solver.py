@@ -74,17 +74,17 @@ def _hom_rows(tau: TypeGraph) -> list[tuple[int, int, int]]:
     (blue) or green edge; a green edge may go anywhere.
     """
     n = tau.n
-    rows = []
-    for t in range(n):
-        red = blue = 0
-        for s in range(n):
-            c = tau.vertex_colors[t] if s == t else tau.edge(s, t)
-            if c != BLUE:
-                red |= 1 << s
-            if c != RED:
-                blue |= 1 << s
-        rows.append((red, blue, (1 << n) - 1))
-    return rows
+    red = [1 << t if c != BLUE else 0 for t, c in enumerate(tau.vertex_colors)]
+    blue = [1 << t if c != RED else 0 for t, c in enumerate(tau.vertex_colors)]
+    for (s, t), c in zip(vertex_pairs(n), tau.edge_colors):
+        if c != BLUE:
+            red[s] |= 1 << t
+            red[t] |= 1 << s
+        if c != RED:
+            blue[s] |= 1 << t
+            blue[t] |= 1 << s
+    full = (1 << n) - 1
+    return [(r, b, full) for r, b in zip(red, blue)]
 
 
 def find_embedding(

@@ -28,6 +28,7 @@ from .model import (
     COLOR_NAMES,
     ENTRY_CHARS,
     RED,
+    STAR,
     PartitionMatrix,
     SimpleGraph,
     TypeGraph,
@@ -47,6 +48,12 @@ class ParseError(ValueError):
         self.column = column
 
 
+_ENTRY_CHAR_SET = frozenset(ENTRY_CHARS)
+# ENTRY_CHARS bytes <-> entries 0, 1, 2, for bytes.translate
+_CHAR_TO_ENTRY = bytes.maketrans(ENTRY_CHARS.encode("ascii"), bytes(range(len(ENTRY_CHARS))))
+_ENTRY_TO_CHAR = bytes.maketrans(bytes(range(len(ENTRY_CHARS))), ENTRY_CHARS.encode("ascii"))
+
+
 def parse_matrix(text: str) -> PartitionMatrix:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -59,34 +66,39 @@ def parse_matrix(text: str) -> PartitionMatrix:
         raise ParseError("dimension must be positive", 1)
     if len(lines) < m + 1:
         raise ParseError(f"expected {m} rows, found {len(lines) - 1}", len(lines))
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for i in range(m):
         raw = lines[1 + i].strip()
         if len(raw) != m:
             raise ParseError(f"row has {len(raw)} entries, expected {m}", 2 + i)
-        row = []
-        for j, ch in enumerate(raw):
-            k = ENTRY_CHARS.find(ch)
-            if k < 0:
-                raise ParseError(f"bad entry {ch!r}", 2 + i, j + 1)
-            row.append(k)
-        rows.append(row)
-    for i in range(m):
-        if rows[i][i] == 2:
-            raise ParseError(f"star on diagonal {i}", 2 + i, i + 1)
-        for j in range(i + 1, m):
-            if rows[i][j] != rows[j][i]:
-                raise ParseError(f"not symmetric ({i},{j})", 2 + i, j + 1)
+        if not set(raw) <= _ENTRY_CHAR_SET:
+            j, ch = next((j, ch) for j, ch in enumerate(raw) if ch not in _ENTRY_CHAR_SET)
+            raise ParseError(f"bad entry {ch!r}", 2 + i, j + 1)
+        rows.append(tuple(raw.encode("ascii").translate(_CHAR_TO_ENTRY)))
+    try:
+        mat = PartitionMatrix(tuple(rows))
+    except ValueError:  # a star on the diagonal or an asymmetric pair
+        _raise_symmetry_fault(rows)
+        raise
     for k in range(m + 1, len(lines)):
         if lines[k].strip():
             raise ParseError("trailing content after matrix", k + 1)
-    return PartitionMatrix.from_rows(rows)
+    return mat
+
+
+def _raise_symmetry_fault(rows: list[tuple[int, ...]]) -> None:
+    """Raise the ParseError for the first star on the diagonal or
+    asymmetric pair, in row order."""
+    for i, row in enumerate(rows):
+        if row[i] == STAR:
+            raise ParseError(f"star on diagonal {i}", 2 + i, i + 1) from None
+        for j in range(i + 1, len(rows)):
+            if row[j] != rows[j][i]:
+                raise ParseError(f"not symmetric ({i},{j})", 2 + i, j + 1) from None
 
 
 def serialize_matrix(mat: PartitionMatrix) -> str:
-    body = "\n".join(
-        "".join(ENTRY_CHARS[e] for e in row) for row in mat.entries
-    )
+    body = "\n".join(bytes(row).translate(_ENTRY_TO_CHAR).decode("ascii") for row in mat.entries)
     return f"{mat.m}\n{body}\n"
 
 

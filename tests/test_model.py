@@ -57,6 +57,108 @@ def all_types(n):
             yield TypeGraph(vc, ec)
 
 
+def reference_matrix_check(entries):
+    """The entry-by-entry walk that PartitionMatrix validation replaced:
+    the oracle for which matrices it rejects, and with what."""
+    m = len(entries)
+    for i, row in enumerate(entries):
+        if len(row) != m:
+            raise ValueError(f"row {i} has length {len(row)}, expected {m}")
+        for j, e in enumerate(row):
+            if e not in (0, 1, 2):
+                raise ValueError(f"bad entry {e!r} at ({i}, {j})")
+    for i in range(m):
+        if entries[i][i] == 2:
+            raise ValueError(f"star on diagonal {i}")
+        for j in range(i + 1, m):
+            if entries[i][j] != entries[j][i]:
+                raise ValueError(f"not symmetric ({i},{j})")
+
+
+def check_outcome(check, entries):
+    """None, or the type and message of the exception check raises."""
+    try:
+        check(entries)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# replacement entries: out of range, equal to an entry under == (bool and
+# float), unequal floats, strings, None and unhashable values
+ODD_ENTRIES = (3, -1, True, False, 1.0, 2.0, 0.5, float("nan"), "1", None, [0], {1: 1})
+
+
+class TestMatrixValidationAgainstReference:
+    def test_mutated_entries(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.data())
+        def check(data):
+            m = data.draw(st.integers(1, 8), label="order")
+            rows = [[0] * m for _ in range(m)]
+            for i in range(m):
+                rows[i][i] = data.draw(st.sampled_from((0, 1)))
+                for j in range(i + 1, m):
+                    rows[i][j] = rows[j][i] = data.draw(st.sampled_from((0, 1, 2)))
+            for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+                kind = data.draw(st.sampled_from(
+                    ("odd entry", "mirrored odd entry", "short row", "long row",
+                     "diagonal star", "asymmetric", "unsized row")
+                ))
+                i = data.draw(st.integers(0, m - 1))
+                j = data.draw(st.integers(0, m - 1))
+                if not isinstance(rows[i], list) or j >= len(rows[i]):
+                    continue
+                odd = data.draw(st.sampled_from(ODD_ENTRIES))
+                if kind == "odd entry":
+                    rows[i][j] = odd
+                elif kind == "mirrored odd entry":
+                    if isinstance(rows[j], list) and i < len(rows[j]):
+                        rows[i][j] = rows[j][i] = odd
+                elif kind == "short row":
+                    del rows[i][j]
+                elif kind == "long row":
+                    rows[i].insert(j, data.draw(st.sampled_from((0, 1, 2))))
+                elif kind == "diagonal star" and i < len(rows[i]):
+                    rows[i][i] = 2
+                elif kind == "asymmetric" and i != j:
+                    others = [e for e in (0, 1, 2) if e != rows[i][j]]
+                    rows[i][j] = data.draw(st.sampled_from(others))
+                elif kind == "unsized row":
+                    rows[i] = odd
+            entries = tuple(tuple(row) if isinstance(row, list) else row for row in rows)
+            if isinstance(rows[0], list) and data.draw(st.booleans(), label="row 0 a list"):
+                entries = (rows[0],) + entries[1:]
+            expected = check_outcome(reference_matrix_check, entries)
+            assert check_outcome(PartitionMatrix, entries) == expected
+
+        check()
+
+    def test_entries_equal_to_valid_ones_are_accepted(self):
+        mat = PartitionMatrix(((False, 1.0, 2), (True, 1, 2.0), (2, 2.0, 0)))
+        assert mat.m == 3
+
+    def test_named_faults(self):
+        cases = [
+            (((0, [1]), ([1], 0)), "bad entry [1] at (0, 1)"),
+            (((0, True), (2, 1)), "not symmetric (0,1)"),
+            (((2.0,),), "star on diagonal 0"),
+            (((0, 1), (1,)), "row 1 has length 1, expected 2"),
+            # a mapping row that lacks its diagonal key: the walk reaches
+            # the asymmetric pair before the missing key
+            (((0, 1), {0: 0, 2: 0}), "not symmetric (0,1)"),
+        ]
+        for entries, message in cases:
+            with pytest.raises(ValueError) as info:
+                PartitionMatrix(entries)
+            assert str(info.value) == message
+
+
 class TestValidation:
     def test_matrix_rejects_star_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -138,6 +240,20 @@ class TestConversions:
         for _ in range(100):
             tau = random_type(rng, rng.randint(1, 6))
             assert type_from_matrix(matrix_from_type(tau)) == tau
+
+    @pytest.mark.parametrize("model", ["friendly", "general"])
+    def test_round_trip_from_sampled_types(self, model):
+        rng = random.Random(f"conversions-{model}")
+        types = [TypeGraph((), ())]
+        types += [
+            sample_type(RandomSpec(n, model, rng.randrange(1000)))
+            for n in [1, 2] + [rng.randint(3, 40) for _ in range(15)]
+        ]
+        for tau in types:
+            mat = matrix_from_type(tau)
+            assert mat.m == tau.n
+            assert type_from_matrix(mat) == tau
+            assert matrix_from_type(type_from_matrix(mat)) == mat
 
     def test_matches_per_pair_lookup(self):
         """matrix_from_type and type_is_friendly against one tau.edge call per
@@ -301,7 +417,40 @@ def least_copy_by_brute_force(host, pattern):
     return None
 
 
+def reference_is_embedding(g, tau, psi):
+    """is_embedding with one has_edge and one tau.edge lookup per pair."""
+    for u, v in vertex_pairs(g.n):
+        s, t = psi[u], psi[v]
+        if s == t:
+            if tau.vertex_colors[s] != (BLUE if g.has_edge(u, v) else RED):
+                return False
+        elif tau.edge(s, t) == (RED if g.has_edge(u, v) else BLUE):
+            return False
+    return True
+
+
 class TestEmbedding:
+    def test_matches_per_pair_lookup(self):
+        rng = random.Random(23)
+        verdicts = set()
+        for _ in range(400):
+            tau = random_type(rng, rng.randint(1, 5))
+            n = rng.randint(0, 6)
+            g = SimpleGraph.from_edges(n, [e for e in vertex_pairs(n) if rng.random() < 0.5])
+            psi = [rng.randrange(tau.n) for _ in range(n)]
+            verdict = is_embedding(g, tau, psi)
+            assert verdict == reference_is_embedding(g, tau, psi)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_rejects_bad_maps(self):
+        tau = TypeGraph((RED, BLUE), (GREEN,))
+        with pytest.raises(ValueError, match="^map has 1 entries, graph has 2 vertices$"):
+            is_embedding(SimpleGraph.empty(2), tau, (0,))
+        with pytest.raises(ValueError, match="^image vertex 2 outside type$"):
+            is_embedding(SimpleGraph.empty(2), tau, (0, 2))
+
+
     def test_edge_into_blue_vertex(self):
         k2 = SimpleGraph.from_edges(2, [(0, 1)])
         assert is_embedding(k2, TypeGraph((BLUE,), ()), (0, 0))

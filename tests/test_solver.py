@@ -29,6 +29,7 @@ from matpart.solver import (
     FixedPointReport,
     SearchResult,
     SolverConfig,
+    _hom_rows,
     are_isomorphic,
     brute_force_has_embedding,
     canonical_code,
@@ -61,6 +62,30 @@ def random_type(rng, n):
     vc = tuple(rng.choice((RED, BLUE)) for _ in range(n))
     ec = tuple(rng.choice((RED, BLUE, GREEN)) for _ in range(n * (n - 1) // 2))
     return TypeGraph(vc, ec)
+
+
+def reference_hom_rows(tau):
+    """solver._hom_rows with one tau.edge lookup per ordered pair."""
+    rows = []
+    for t in range(tau.n):
+        red = blue = 0
+        for s in range(tau.n):
+            c = tau.vertex_colors[t] if s == t else tau.edge(s, t)
+            if c != BLUE:
+                red |= 1 << s
+            if c != RED:
+                blue |= 1 << s
+        rows.append((red, blue, (1 << tau.n) - 1))
+    return rows
+
+
+class TestHomRows:
+    def test_matches_per_pair_lookup(self):
+        rng = random.Random(29)
+        types = [TypeGraph((), ())] + [random_type(rng, rng.randint(1, 14)) for _ in range(60)]
+        types.append(sample_type(RandomSpec(40, "general", 3)))
+        for tau in types:
+            assert _hom_rows(tau) == reference_hom_rows(tau)
 
 
 class TestFindEmbedding:

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from matpart.model import BLUE, GREEN, RED, SimpleGraph, vertex_pairs
+from matpart.model import (
+    BLUE,
+    ENTRY_CHARS,
+    GREEN,
+    RED,
+    PartitionMatrix,
+    SimpleGraph,
+    TypeGraph,
+    vertex_pairs,
+)
+from matpart.randtypes import RandomSpec, sample_type
 from matpart.textio import (
     ParseError,
     parse_graph,
@@ -15,6 +25,146 @@ from matpart.textio import (
     serialize_matrix,
     serialize_type,
 )
+
+
+def reference_parse_matrix(text):
+    """The character-by-character parser that parse_matrix replaced: the
+    oracle for its results and for the message, line and column of its
+    first error."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError("missing dimension line", 1)
+    try:
+        m = int(lines[0].strip())
+    except ValueError:
+        raise ParseError(f"bad dimension {lines[0].strip()!r}", 1) from None
+    if m < 1:
+        raise ParseError("dimension must be positive", 1)
+    if len(lines) < m + 1:
+        raise ParseError(f"expected {m} rows, found {len(lines) - 1}", len(lines))
+    rows = []
+    for i in range(m):
+        raw = lines[1 + i].strip()
+        if len(raw) != m:
+            raise ParseError(f"row has {len(raw)} entries, expected {m}", 2 + i)
+        row = []
+        for j, ch in enumerate(raw):
+            k = ENTRY_CHARS.find(ch)
+            if k < 0:
+                raise ParseError(f"bad entry {ch!r}", 2 + i, j + 1)
+            row.append(k)
+        rows.append(row)
+    for i in range(m):
+        if rows[i][i] == 2:
+            raise ParseError(f"star on diagonal {i}", 2 + i, i + 1)
+        for j in range(i + 1, m):
+            if rows[i][j] != rows[j][i]:
+                raise ParseError(f"not symmetric ({i},{j})", 2 + i, j + 1)
+    for k in range(m + 1, len(lines)):
+        if lines[k].strip():
+            raise ParseError("trailing content after matrix", k + 1)
+    return PartitionMatrix.from_rows(rows)
+
+
+def reference_serialize_matrix(mat):
+    body = "\n".join("".join(ENTRY_CHARS[e] for e in row) for row in mat.entries)
+    return f"{mat.m}\n{body}\n"
+
+
+def parse_outcome(parse, text):
+    """The parsed matrix, or the message, line and column of the ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# replacement characters: bad ASCII, whitespace, non-ASCII look-alikes, and
+# a line separator that str.splitlines honours
+BAD_CHARS = ("x", "2", "-", " ", "\t", "\x00", "é", "\u2217", "\uff10", "\x85")
+
+
+class TestMatrixParserAgainstReference:
+    def test_mutated_matrix_texts(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.data())
+        def check(data):
+            m = data.draw(st.integers(1, 12), label="order")
+            rows = [[0] * m for _ in range(m)]
+            for i in range(m):
+                rows[i][i] = data.draw(st.sampled_from("01"))
+                for j in range(i + 1, m):
+                    rows[i][j] = rows[j][i] = data.draw(st.sampled_from(ENTRY_CHARS))
+            trailer = [""]
+            for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+                kind = data.draw(st.sampled_from(
+                    ("bad char", "short row", "long row", "diagonal star",
+                     "asymmetric", "trailing content")
+                ))
+                i = data.draw(st.integers(0, m - 1))
+                j = data.draw(st.integers(0, m - 1))
+                if kind == "bad char" and j < len(rows[i]):
+                    rows[i][j] = data.draw(st.sampled_from(BAD_CHARS))
+                elif kind == "short row" and rows[i]:
+                    del rows[i][j % len(rows[i])]
+                elif kind == "long row":
+                    rows[i].insert(j, data.draw(st.sampled_from(ENTRY_CHARS + "x")))
+                elif kind == "diagonal star" and i < len(rows[i]):
+                    rows[i][i] = "*"
+                elif kind == "asymmetric" and i != j and j < len(rows[i]):
+                    rows[i][j] = data.draw(
+                        st.sampled_from([c for c in ENTRY_CHARS if c != rows[i][j]])
+                    )
+                elif kind == "trailing content":
+                    trailer.append(data.draw(st.sampled_from(("0", "x", "  ", "\t1"))))
+            text = f"{m}\n" + "\n".join("".join(row) for row in rows) + "\n".join(trailer)
+            text += "\n"
+            assert parse_outcome(parse_matrix, text) == parse_outcome(
+                reference_parse_matrix, text
+            )
+
+        check()
+
+    def test_every_bad_char_in_every_cell(self):
+        rows = ["01*", "100", "*00"]
+        for ch in BAD_CHARS:
+            for i in range(3):
+                for j in range(3):
+                    bad = rows[:]
+                    bad[i] = bad[i][:j] + ch + bad[i][j + 1 :]
+                    text = "3\n" + "\n".join(bad) + "\n"
+                    assert parse_outcome(parse_matrix, text) == parse_outcome(
+                        reference_parse_matrix, text
+                    )
+
+    def test_valid_texts_with_padding(self):
+        for seed in range(40):
+            text = serialize_type(sample_type(RandomSpec(1 + seed % 6, "general", seed)))
+            padded = "\n".join(f" {line}\t" for line in text.splitlines()) + "\n\n  \n"
+            assert parse_matrix(padded) == reference_parse_matrix(padded)
+
+
+class TestTypeFileRoundTrip:
+    def test_empty_type_has_no_file(self):
+        """The format needs a positive dimension, so the empty type is
+        written as "0" and an empty row but cannot be read back."""
+        assert serialize_type(TypeGraph((), ())) == "0\n\n"
+        with pytest.raises(ParseError, match="dimension must be positive"):
+            parse_type("0\n\n")
+
+    @pytest.mark.parametrize("model", ["friendly", "general"])
+    def test_sampled_types(self, model):
+        rng = random.Random(f"round-trip-{model}")
+        for n in [1, 2] + [rng.randint(3, 40) for _ in range(15)]:
+            tau = sample_type(RandomSpec(n, model, rng.randrange(1000)))
+            text = serialize_type(tau)
+            assert text == reference_serialize_matrix(parse_matrix(text))
+            assert parse_type(text) == tau
 
 
 class TestMatrixFormat:
