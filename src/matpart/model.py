@@ -340,18 +340,49 @@ def homomorphism_matrix(h: SimpleGraph) -> PartitionMatrix:
 
 def is_friendly(mat: PartitionMatrix) -> bool:
     """False iff some 2x2 principal submatrix is [[0,*],[*,0]] or [[1,*],[*,1]]."""
-    for i, j in vertex_pairs(mat.m):
-        if mat.entries[i][j] == STAR and mat.entries[i][i] == mat.entries[j][j]:
-            return False
-    return True
+    entries = mat.entries
+    return _no_two_within_class(
+        _byte_form([row[i] for i, row in enumerate(entries)]),
+        b"".join(_byte_form(row[i + 1 :]) for i, row in enumerate(entries)),
+    )
 
 
 def type_is_friendly(tau: TypeGraph) -> bool:
     """No green edge between two red vertices or between two blue vertices."""
-    vc = tau.vertex_colors
-    for (i, j), c in zip(vertex_pairs(tau.n), tau.edge_colors):
-        if c == GREEN and vc[i] == vc[j]:
+    return _no_two_within_class(_byte_form(tau.vertex_colors), _byte_form(tau.edge_colors))
+
+
+_TWO_TO_ONE = bytes.maketrans(b"\0\1\2", b"\0\0\1")
+_SWAP_01 = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _byte_form(values: Sequence[int]) -> bytes:
+    try:
+        return bytes(values)
+    except TypeError:  # validation lets through values such as 2.0, equal to an int
+        return bytes(map(int, values))
+
+
+def _no_two_within_class(classes: bytes, upper: bytes) -> bool:
+    """classes[v] is 0 or 1 and upper holds one value per pair (i, j), i < j,
+    in lexicographic order.  True iff no value 2 (STAR, GREEN) joins two
+    vertices of one class.
+
+    Row i at a time: the bytes of upper's row i and of the class mask of
+    the vertices after i are read as integers, whose AND is nonzero iff
+    some byte is 1 in both.
+    """
+    n = len(classes)
+    twos = upper.translate(_TWO_TO_ONE)
+    same = (classes.translate(_SWAP_01), classes)  # byte v is 1 iff classes[v] is 0, resp. 1
+    start = 0
+    for i in range(n - 1):
+        end = start + n - 1 - i
+        if int.from_bytes(twos[start:end], "big") & int.from_bytes(
+            same[classes[i]][i + 1 :], "big"
+        ):
             return False
+        start = end
     return True
 
 

@@ -9,6 +9,15 @@ target rows of _hom_rows.  Everything is complete (no heuristics that lose
 solutions), and a node limit turns the answer into a tri-state so a timeout
 is never mistaken for "no embedding".
 
+find_embedding has two cores for one search tree.  ListSearch walks it a
+node at a time and gives every map; _bitset_search expands many nodes of
+the same tree per numpy call but only decides.  A search tree without a
+solution has the same node count and depth in any visiting order, so proofs
+of non-embedding longer than BATCH_BUDGET nodes go to the batched core and
+every SearchResult is the one ListSearch alone would give.  The batched
+core keeps a row of n words per node, so only graphs whose worst case fits
+in MAX_BATCH_BYTES use it; larger graphs stay on ListSearch.
+
 Obstruction enumeration drops isomorphic duplicates by canonical_code, the
 least adjacency bitstring over all relabelings.  It is found exactly by a
 search over ordered vertex partitions with twin pruning, not by trying all
@@ -20,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .model import (
     BLUE,
@@ -38,6 +49,19 @@ UNSAT = "no-embedding"
 UNKNOWN = "limit-exceeded"
 
 BRUTE_FORCE_LIMIT = 10**8
+
+# find_embedding tries ListSearch for this many nodes before it hands a
+# search to the batched core; most calls end well within it.
+BATCH_BUDGET = 200
+# Children expanded per numpy step of the batched core, at most.
+BATCH_CHILDREN = 4096
+# The batched core keeps a target list and its free mark in one integer of
+# 16, 32 or 64 bits, so it takes hosts of up to 63 vertices.
+MAX_BATCH_TARGETS = 63
+# find_embedding sends a search to the batched core only if the core's
+# arrays fit in this many bytes at worst (see _batch_bytes); larger graphs
+# stay on ListSearch, whose memory grows with the graph alone.
+MAX_BATCH_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -88,24 +112,127 @@ def _hom_rows(tau: TypeGraph) -> list[tuple[int, int, int]]:
 
 
 def find_embedding(
-    g: SimpleGraph, tau: TypeGraph, config: SolverConfig | None = None
+    g: SimpleGraph,
+    tau: TypeGraph,
+    config: SolverConfig | None = None,
+    *,
+    rows: Sequence[tuple[int, int, int]] | None = None,
 ) -> SearchResult:
     """Complete search for an embedding of g into tau, most constrained
-    vertex first."""
+    vertex first.
+
+    rows is _hom_rows(tau), for a caller that searches one type many times.
+    A search that outlasts BATCH_BUDGET nodes is decided by _bitset_search
+    if its arrays fit in MAX_BATCH_BYTES; when that finds no proof of
+    non-embedding, ListSearch runs again under the caller's limit to give
+    the map, node count and depth.
+    """
     cfg = config or SolverConfig()
+    if rows is None:
+        rows = _hom_rows(tau)
     relation = [[RED] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         relation[u][v] = relation[v][u] = BLUE
+    limit = cfg.node_limit
+    batch = limit is None or limit > BATCH_BUDGET
+    if batch and _batch_bytes(g.n, tau.n) <= MAX_BATCH_BYTES:
+        first = _list_search(relation, rows, BATCH_BUDGET)
+        if first.status != UNKNOWN:
+            return first
+        status, nodes, depth = _bitset_search(g, rows, limit)
+        if status == UNSAT:
+            return SearchResult(UNSAT, None, nodes, depth)
+    return _list_search(relation, rows, limit)
+
+
+def _list_search(
+    relation: list[list[int]], rows: Sequence[tuple[int, int, int]], limit: int | None
+) -> SearchResult:
     search = ListSearch(
-        [(1 << tau.n) - 1] * g.n,
+        [(1 << len(rows)) - 1] * len(relation),
         relation,
-        _hom_rows(tau),
+        rows,
         most_constrained=True,
-        node_limit=cfg.node_limit,
+        node_limit=limit,
     )
     psi = next(iter(search), None)
     status = SAT if psi is not None else UNKNOWN if search.limit_hit else UNSAT
     return SearchResult(status, psi, search.nodes, search.depth)
+
+
+def _batch_dtype(k: int) -> type[np.unsignedinteger]:
+    """Smallest word holding k targets and the free mark above them."""
+    if k > MAX_BATCH_TARGETS:
+        raise ValueError(f"batched search takes at most {MAX_BATCH_TARGETS} targets")
+    return np.uint16 if k < 16 else np.uint32 if k < 32 else np.uint64
+
+
+def _batch_bytes(n: int, k: int) -> float:
+    """Worst-case bytes of _bitset_search on n vertices and k targets: the
+    forward table of n * k rows, at most one pending chunk per depth and
+    the gather of one step, each chunk up to BATCH_CHILDREN rows of n
+    words.  Infinite for more than MAX_BATCH_TARGETS targets."""
+    if k > MAX_BATCH_TARGETS:
+        return float("inf")
+    itemsize = np.dtype(_batch_dtype(k)).itemsize
+    return n * (n * k + (n + 4) * BATCH_CHILDREN) * itemsize
+
+
+def _bitset_search(
+    g: SimpleGraph, rows: Sequence[tuple[int, int, int]], limit: int | None
+) -> tuple[str, int, int]:
+    """Decide whether g embeds by expanding ListSearch's tree (fewest
+    targets first, ties to the lower vertex) many nodes per numpy call.
+
+    Returns (status, nodes, depth).  On UNSAT, nodes and depth are those of
+    ListSearch, since the whole tree is visited; on SAT or UNKNOWN they
+    depend on the visiting order and mean nothing to the caller.
+
+    A search node is a row of target lists, one integer per vertex of g.  A
+    free vertex carries its targets plus the top bit; an assigned vertex is
+    0, so a target list that loses every target equals the top bit alone
+    and wipes the row out.  forward[u * k + t] is the row that assigning t
+    to u ANDs in: the hom row of t for each other vertex, with the top bit
+    kept, and 0 for u.  Pending rows wait on a LIFO stack of chunks of one
+    depth each, and a step takes at most BATCH_CHILDREN // k rows so it
+    expands at most BATCH_CHILDREN children.
+    """
+    k, n = len(rows), g.n
+    dtype = _batch_dtype(k)
+    free = dtype(1) << dtype(np.dtype(dtype).itemsize * 8 - 1)
+    colors = np.full((n, n), RED, np.intp)
+    for u, v in g.edges:
+        colors[u, v] = colors[v, u] = BLUE
+    forward = (np.array(rows, dtype=dtype).reshape(k, 3) | free)[
+        np.arange(k)[:, None], colors[:, None, :]
+    ]
+    forward[np.arange(n), :, np.arange(n)] = 0
+    forward = forward.reshape(n * k, n)
+    targets = np.arange(k, dtype=dtype)
+    cap = BATCH_CHILDREN // max(k, 1)
+    nodes = depth = 0
+    stack = [(0, np.full((1, n), free | dtype((1 << k) - 1), dtype))]
+    while stack:
+        level, doms = stack.pop()
+        if len(doms) > cap:
+            stack.append((level, doms[:-cap]))
+            doms = doms[-cap:]
+        if level == n:
+            return SAT, nodes, depth
+        depth = max(depth, level)
+        counts = np.bitwise_count(doms)
+        counts -= 1  # a free list counts its targets, an assigned vertex wraps to 255
+        u = counts.argmin(1)
+        values = doms[np.arange(len(doms)), u]
+        parent, t = np.nonzero(values[:, None] >> targets & 1)
+        nodes += len(parent)
+        if limit is not None and nodes > limit:
+            return UNKNOWN, nodes, depth
+        child = doms[parent] & forward[u[parent] * k + t]
+        child = child[(child != free).all(1)]
+        if len(child):
+            stack.append((level + 1, child))
+    return UNSAT, nodes, depth
 
 
 def brute_force_has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:
@@ -268,6 +395,7 @@ def enumerate_minimal_obstructions(
     """
     if not 1 <= max_vertices <= MAX_CANONICAL_N:
         raise ValueError(f"max_vertices must be in 1..{MAX_CANONICAL_N}")
+    rows = _hom_rows(tau)
     found: list[tuple[int, int]] = []
     embeddable = {0: SimpleGraph.empty(0)}  # canonical code -> representative
     for size in range(1, max_vertices + 1):
@@ -279,10 +407,11 @@ def enumerate_minimal_obstructions(
                 if code in seen:
                     continue
                 seen.add(code)
-                if has_embedding(cand, tau):
+                if find_embedding(cand, tau, rows=rows).found:
                     next_embeddable[code] = graph_from_code(size, code)
                 elif all(
-                    has_embedding(cand.delete_vertex(v), tau) for v in range(size)
+                    find_embedding(cand.delete_vertex(v), tau, rows=rows).found
+                    for v in range(size)
                 ):
                     found.append((size, code))
         embeddable = next_embeddable

@@ -107,6 +107,9 @@ def parse_type(text: str) -> TypeGraph:
 
 
 def serialize_type(tau: TypeGraph) -> str:
+    """The matrix file of tau; the format has no file for the empty type."""
+    if tau.n == 0:
+        raise ValueError("the empty type has no matrix file")
     return serialize_matrix(matrix_from_type(tau))
 
 

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from matpart.constructions import build_planted_obstruction
+from matpart.textio import serialize_graph, serialize_type
+
 COL2 = "2\n0*\n*0\n"
 COL3 = "3\n0**\n*0*\n**0\n"
 TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
@@ -86,6 +89,25 @@ class TestSolve:
         )
         assert res.returncode == 3
         assert parse_report(res.stdout)["status"] == "limit"
+
+    # build_planted_obstruction(12, 3, seed), solved by ListSearch alone; the
+    # proof and the limit run pass BATCH_BUDGET, so the batched path must
+    # print the same bytes
+    GADGET_CASES = [
+        (4, [], 0, "status=none\nnodes=11044\ndepth=16\n"),
+        (4, ["--node-limit", "5000"], 3, "status=limit\nnodes=5001\ndepth=16\n"),
+        (0, [], 0, "status=found\nnodes=780\ndepth=11\nmap=1 17 16 6 11 18 10 10 10 15 15 15\n"),
+    ]
+
+    @pytest.mark.parametrize("seed,extra,code,tail", GADGET_CASES)
+    def test_gadget_stdout_is_pinned(self, tmp_path, seed, extra, code, tail):
+        inst = build_planted_obstruction(12, 3, seed)
+        graph, mat = tmp_path / "gadget.graph", tmp_path / "gadget.mat"
+        graph.write_text(serialize_graph(inst.graph))
+        mat.write_text(serialize_type(inst.tau))
+        res = run_cli("solve", "--graph", str(graph), "--type", str(mat), *extra)
+        assert res.returncode == code, res.stderr
+        assert res.stdout == f"command=solve\ngraph={graph}\ntype={mat}\n" + tail
 
     def test_search_deeper_than_recursion_limit(self, tmp_path):
         (tmp_path / "edgeless.graph").write_text("1200 0\n")

@@ -317,6 +317,80 @@ class TestFriendliness:
             mat = random_matrix(rng, rng.randint(1, 6))
             assert is_friendly(mat) == type_is_friendly(type_from_matrix(mat))
 
+    @pytest.mark.parametrize("model", ["friendly", "general"])
+    def test_matches_pair_walk(self, model):
+        """Both checks against the per-pair walk, on sampled types, on
+        planted copies of each pattern, and with one green edge planted
+        between two vertices of one color at a random pair."""
+        rng = random.Random(f"friendly-walk-{model}")
+        types = [TypeGraph((), ())]
+        for n in [1, 2, 3] + [rng.randint(4, 60) for _ in range(20)]:
+            tau = sample_type(RandomSpec(n, model, rng.randrange(1000)))
+            types.append(tau)
+            for pattern in (rho_obstruction_family(), rho_three_coloring()):
+                reds = [v for v in range(tau.n) if tau.vertex_colors[v] == RED]
+                blues = [v for v in range(tau.n) if tau.vertex_colors[v] == BLUE]
+                by_color = {RED: reds, BLUE: blues}
+                if all(
+                    pattern.vertex_colors.count(c) <= len(by_color[c]) for c in (RED, BLUE)
+                ):
+                    pools = {c: rng.sample(by_color[c], len(by_color[c])) for c in (RED, BLUE)}
+                    position = [pools[c].pop() for c in pattern.vertex_colors]
+                    types.append(plant_subtype(tau, pattern, position))
+            same = [
+                k for k, (i, j) in enumerate(vertex_pairs(n))
+                if tau.vertex_colors[i] == tau.vertex_colors[j]
+            ]
+            if same:
+                colors = list(tau.edge_colors)
+                colors[rng.choice(same)] = GREEN
+                types.append(TypeGraph(tau.vertex_colors, tuple(colors)))
+        verdicts = [reference_type_is_friendly(tau) for tau in types]
+        assert True in verdicts and False in verdicts
+        for tau, expected in zip(types, verdicts):
+            mat = matrix_from_type(tau)
+            assert type_is_friendly(tau) == expected
+            assert is_friendly(mat) == reference_is_friendly(mat) == expected
+
+    def test_violation_in_every_row(self):
+        """A single same-color green edge is found wherever it sits,
+        including the first and the last pair."""
+        for n in (2, 3, 9, 40):
+            vc = tuple(RED if v % 3 else BLUE for v in range(n))
+            for k, (i, j) in enumerate(vertex_pairs(n)):
+                colors = [RED] * (n * (n - 1) // 2)
+                colors[k] = GREEN
+                tau = TypeGraph(vc, tuple(colors))
+                expected = vc[i] != vc[j]
+                assert type_is_friendly(tau) == expected
+                assert is_friendly(matrix_from_type(tau)) == expected
+
+    def test_values_equal_to_ints(self):
+        """Validation accepts entries such as 2.0 and True; the checks read
+        them as the ints they equal."""
+        mat = PartitionMatrix.from_rows([[0, 1.0, 2.0], [1.0, 1, 2], [2.0, 2, True]])
+        assert is_friendly(mat) == reference_is_friendly(mat) is False
+        tau = TypeGraph((RED, 1.0, True), (2.0, RED, GREEN))
+        assert type_is_friendly(tau) == reference_type_is_friendly(tau) is False
+        tau = TypeGraph((RED, 1.0, True), (2.0, 0.0, BLUE))
+        assert type_is_friendly(tau) == reference_type_is_friendly(tau) is True
+
+
+def reference_is_friendly(mat):
+    """model.is_friendly as one walk over the pairs."""
+    return not any(
+        mat.entries[i][j] == 2 and mat.entries[i][i] == mat.entries[j][j]
+        for i, j in vertex_pairs(mat.m)
+    )
+
+
+def reference_type_is_friendly(tau):
+    """model.type_is_friendly as one walk over the pairs."""
+    vc = tau.vertex_colors
+    return not any(
+        c == GREEN and vc[i] == vc[j] for (i, j), c in zip(vertex_pairs(tau.n), tau.edge_colors)
+    )
+
 
 class TestCommonNeighborhood:
     def test_family_pattern_red_pair(self):

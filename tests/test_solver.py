@@ -1,11 +1,14 @@
 """Embedding search vs brute force, obstruction enumeration vs independent
 exhaustive filters, canonical forms, and the fixed-point scan."""
 
+import json
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,21 +17,28 @@ from matpart.model import (
     BLUE,
     GREEN,
     RED,
+    ListSearch,
     SimpleGraph,
     TypeGraph,
     coloring_matrix,
     is_edge_homomorphism,
+    rho_three_coloring,
     subtype,
     type_from_matrix,
     vertex_pairs,
 )
 from matpart.solver import (
+    BATCH_BUDGET,
+    MAX_BATCH_BYTES,
+    MAX_BATCH_TARGETS,
     SAT,
     UNKNOWN,
     UNSAT,
     FixedPointReport,
     SearchResult,
     SolverConfig,
+    _batch_bytes,
+    _bitset_search,
     _hom_rows,
     are_isomorphic,
     brute_force_has_embedding,
@@ -146,6 +156,162 @@ class TestFindEmbedding:
             res = find_embedding(g, tau)
             if res.found:
                 assert is_embedding(g, tau, res.map)
+
+
+def list_search(g, tau, limit=None):
+    """find_embedding's result by ListSearch alone: the reference for the batched path."""
+    relation = [[BLUE if g.has_edge(u, v) else RED for v in range(g.n)] for u in range(g.n)]
+    search = ListSearch(
+        [(1 << tau.n) - 1] * g.n,
+        relation,
+        reference_hom_rows(tau),
+        most_constrained=True,
+        node_limit=limit,
+    )
+    psi = next(iter(search), None)
+    status = SAT if psi is not None else UNKNOWN if search.limit_hit else UNSAT
+    return SearchResult(status, psi, search.nodes, search.depth)
+
+
+def batched(g, tau, limit=None):
+    return _bitset_search(g, _hom_rows(tau), limit)
+
+
+def pool_unsat_instances(per_cell):
+    pool = json.loads(
+        (Path(__file__).resolve().parent.parent / "bench" / "gadget_pool.json").read_text()
+    )
+    for cell, seeds in pool["cells"].items():
+        n, m = map(int, cell.split(","))
+        for seed in seeds["unsat"][:per_cell]:
+            yield build_planted_obstruction(n, m, seed)
+
+
+def tripartite_type(k):
+    """k red vertices, green edges between the classes v % 3 and red edges
+    inside them: K4 has no embedding, and its search tree has about
+    k * (2k/3) * (k/3) nodes."""
+    return TypeGraph(
+        (RED,) * k,
+        tuple(GREEN if i % 3 != j % 3 else RED for i, j in vertex_pairs(k)),
+    )
+
+
+class TestBatchedSearch:
+    """The batched core expands ListSearch's tree, so a proof of
+    non-embedding reports ListSearch's node count and depth; find_embedding
+    reports exactly what ListSearch alone reports."""
+
+    def test_pool_proofs(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _bitset_search(*args)
+
+        monkeypatch.setattr("matpart.solver._bitset_search", counted)
+        instances = list(pool_unsat_instances(2))
+        for inst in instances:
+            expected = list_search(inst.graph, inst.tau)
+            assert expected.status == UNSAT and expected.nodes > BATCH_BUDGET
+            assert batched(inst.graph, inst.tau) == (UNSAT, expected.nodes, expected.depth)
+            assert find_embedding(inst.graph, inst.tau) == expected
+        # every pool proof fits the byte bound, so find_embedding decided it
+        assert len(calls) == len(instances)
+
+    def test_large_graph_stays_on_list_search(self, monkeypatch):
+        """A 1,000-vertex path takes ListSearch about 1,000 nodes, but the
+        batched core would keep rows of 1,000 words per node, gigabytes of
+        them; find_embedding keeps such a graph on ListSearch."""
+        g = SimpleGraph.path(1000)
+        tau = rho_three_coloring()
+        expected = list_search(g, tau)
+        assert expected.status == SAT and expected.nodes > BATCH_BUDGET
+        assert _batch_bytes(g.n, tau.n) > MAX_BATCH_BYTES
+        assert _batch_bytes(3000, 50) > MAX_BATCH_BYTES
+
+        def refuse(*args):
+            raise AssertionError("batched core called on a large graph")
+
+        monkeypatch.setattr("matpart.solver._bitset_search", refuse)
+        tracemalloc.start()
+        try:
+            assert find_embedding(g, tau) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+
+    def test_node_limits_around_budget_and_tree(self):
+        inst = build_planted_obstruction(12, 3, 4)
+        tree = list_search(inst.graph, inst.tau).nodes
+        for limit in (1, BATCH_BUDGET, BATCH_BUDGET + 1, tree - 1, tree, tree + 1):
+            expected = list_search(inst.graph, inst.tau, limit)
+            assert expected.status == (UNSAT if limit >= tree else UNKNOWN)
+            status, nodes, depth = batched(inst.graph, inst.tau, limit)
+            assert status == expected.status
+            if status == UNSAT:
+                assert (nodes, depth) == (expected.nodes, expected.depth)
+            assert find_embedding(inst.graph, inst.tau, SolverConfig(node_limit=limit)) == expected
+
+    @pytest.mark.parametrize("k", [15, 16, 31, 32, 63, 64])
+    def test_word_size_boundaries(self, k):
+        """15, 31 and 63 targets fill a 16-, 32- or 64-bit word beside the
+        free mark; 64 targets stay on ListSearch."""
+        tau = tripartite_type(k)
+        g = SimpleGraph.from_edges(5, [(u, v) for u, v in vertex_pairs(4)])
+        expected = list_search(g, tau)
+        assert expected.status == UNSAT and expected.nodes > BATCH_BUDGET
+        assert find_embedding(g, tau) == expected
+        if k <= MAX_BATCH_TARGETS:
+            assert batched(g, tau) == (UNSAT, expected.nodes, expected.depth)
+            sat = SimpleGraph.from_edges(5, [(u, v) for u, v in vertex_pairs(3)])
+            assert batched(sat, tau)[0] == SAT
+        else:
+            with pytest.raises(ValueError, match="at most 63 targets"):
+                batched(g, tau)
+
+    def test_empty_graph_and_empty_type(self):
+        one = TypeGraph((RED,), ())
+        for g, tau in [
+            (SimpleGraph.empty(0), TypeGraph((), ())),
+            (SimpleGraph.empty(0), one),
+            (SimpleGraph.empty(3), TypeGraph((), ())),
+            (SimpleGraph.complete(2), TypeGraph((), ())),
+        ]:
+            expected = list_search(g, tau)
+            assert batched(g, tau) == (expected.status, expected.nodes, expected.depth)
+            assert find_embedding(g, tau) == expected
+
+    def test_oracle_agreement_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.data())
+        def check(data):
+            def draw_tuple(choices, size):
+                return tuple(
+                    data.draw(st.lists(st.sampled_from(choices), min_size=size, max_size=size))
+                )
+
+            n = data.draw(st.integers(0, 7), label="graph order")
+            pairs = list(vertex_pairs(n))
+            present = draw_tuple((False, True), len(pairs))
+            g = SimpleGraph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+            nt = data.draw(st.integers(0, 4), label="type order")
+            tau = TypeGraph(
+                draw_tuple((RED, BLUE), nt), draw_tuple((RED, BLUE, GREEN), nt * (nt - 1) // 2)
+            )
+            status, nodes, depth = batched(g, tau)
+            assert status == (SAT if brute_force_has_embedding(g, tau) else UNSAT)
+            if status == UNSAT:
+                expected = list_search(g, tau)
+                assert (nodes, depth) == (expected.nodes, expected.depth)
+
+        check()
 
 
 class TestBruteForce:

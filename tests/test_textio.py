@@ -152,8 +152,9 @@ class TestMatrixParserAgainstReference:
 class TestTypeFileRoundTrip:
     def test_empty_type_has_no_file(self):
         """The format needs a positive dimension, so the empty type is
-        written as "0" and an empty row but cannot be read back."""
-        assert serialize_type(TypeGraph((), ())) == "0\n\n"
+        refused when written, as when read."""
+        with pytest.raises(ValueError, match="empty type has no matrix file"):
+            serialize_type(TypeGraph((), ()))
         with pytest.raises(ParseError, match="dimension must be positive"):
             parse_type("0\n\n")
 
