@@ -1,11 +1,20 @@
 """Core data model: partition matrices, colored types, the paper's two
 pattern types, graphs, and maps.
 
-A partition matrix is a symmetric table over {0, 1, *} with no * on the
+A partition matrix M is a symmetric table over {0, 1, *} with no * on the
 diagonal; it specifies which vertex classes of a partition must span
-non-edges (0), edges (1), or anything (*).  The equivalent *type* view is a
-complete graph whose vertices are colored red or blue and whose edges are
-colored red, blue or green; 0, 1 and * correspond to red, blue and green.
+non-edges (0), edges (1), or anything (*).  A *type* is the same matrix
+read as a colored complete graph: M[i][i] colors vertex i red (0) or blue
+(1), and M[i][j] colors the edge ij red, blue or green (0, 1, *).
+TypeGraph stores exactly that table, one bytes row per vertex, so a
+vertex's view of the type is its row and needs no walk in pair order.
+
+Because the diagonal holds the vertex color, one rule decides where a map
+psi may send a pair u, v of a graph g: an edge may not land on a red entry
+M[psi(u)][psi(v)] and a non-edge may not land on a blue one.  It covers
+psi(u) == psi(v), where the entry is a vertex color, as well as distinct
+images.
+
 All values here are immutable and hashable, and every operation is a pure
 function, so everything is safe to share across threads.
 """
@@ -13,7 +22,8 @@ function, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 RED, BLUE, GREEN = 0, 1, 2
@@ -71,6 +81,14 @@ class PartitionMatrix:
             for j in range(i + 1, m):
                 if entries[i][j] != entries[j][i]:
                     raise ValueError(f"not symmetric ({i},{j})")
+        # valid, but not a tuple of tuples (the test above compares with tuples):
+        # store one, read as entry() reads it, so the value hashes and compares
+        rows = tuple(tuple(row[j] for j in range(m)) for row in entries)
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if e not in (ZERO, ONE, STAR):  # a mapping row: the walk read its keys
+                    raise ValueError(f"bad entry {e!r} at ({i}, {j})")
+        object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PartitionMatrix":
@@ -84,44 +102,71 @@ class PartitionMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypeGraph:
-    """Complete graph with red/blue vertices and red/blue/green edges.
+    """Complete graph with red/blue vertices and red/blue/green edges,
+    stored as its partition matrix.
 
-    Edge colors are stored in lexicographic pair order: (0,1), (0,2), ...,
-    (0,n-1), (1,2), ...
+    rows[i][j] is the color of the edge ij and rows[i][i] the color of
+    vertex i, one bytes object per row.  Since the diagonal holds the
+    vertex color, a rule on entries (an edge of g may not land on red, a
+    non-edge not on blue) holds for two graph vertices sent to one type
+    vertex just as for two sent to distinct ones.
+
+    The constructor takes the vertex colors and the edge colors in
+    lexicographic pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., and
+    validates them; vertex_colors and edge_colors give them back.
     """
 
-    vertex_colors: tuple[int, ...]
-    edge_colors: tuple[int, ...]
+    rows: tuple[bytes, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.vertex_colors)
-        for i, c in enumerate(self.vertex_colors):
+    def __init__(self, vertex_colors: Sequence[int], edge_colors: Sequence[int]) -> None:
+        n = len(vertex_colors)
+        for i, c in enumerate(vertex_colors):
             if c not in (RED, BLUE):
                 raise ValueError(f"bad vertex color {c!r} at {i}")
-        if len(self.edge_colors) != n * (n - 1) // 2:
+        if len(edge_colors) != n * (n - 1) // 2:
             raise ValueError(
-                f"expected {n * (n - 1) // 2} edge colors, got {len(self.edge_colors)}"
+                f"expected {n * (n - 1) // 2} edge colors, got {len(edge_colors)}"
             )
         try:
-            valid = set(self.edge_colors) <= _EDGE_COLORS
+            valid = set(edge_colors) <= _EDGE_COLORS
         except TypeError:  # an unhashable color: the walk below names it
             valid = False
         if not valid:
-            for k, c in enumerate(self.edge_colors):
+            for k, c in enumerate(edge_colors):
                 if c not in (RED, BLUE, GREEN):
                     raise ValueError(f"bad edge color {c!r} at pair index {k}")
+        rows = _rows_from_pairs(_byte_form(vertex_colors), _byte_form(edge_colors))
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[bytes]) -> "TypeGraph":
+        """The type with these rows, which the caller guarantees form a
+        valid table: symmetric, 0 or 1 on the diagonal, 0..2 elsewhere."""
+        tau = cls.__new__(cls)
+        object.__setattr__(tau, "rows", tuple(rows))
+        return tau
 
     @property
     def n(self) -> int:
-        return len(self.vertex_colors)
+        return len(self.rows)
+
+    @cached_property
+    def vertex_colors(self) -> tuple[int, ...]:
+        return tuple(row[i] for i, row in enumerate(self.rows))
+
+    @property
+    def edge_colors(self) -> tuple[int, ...]:
+        """Edge colors in lexicographic pair order."""
+        return tuple(b"".join(row[i + 1 :] for i, row in enumerate(self.rows)))
 
     def edge(self, i: int, j: int) -> int:
         """Color of the edge between distinct vertices i and j."""
-        if i > j:
-            i, j = j, i
-        return self.edge_colors[pair_index(i, j, self.n)]
+        n = len(self.rows)
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"bad pair ({min(i, j)}, {max(i, j)}) for n={n}")
+        return self.rows[i][j]
 
     def vertices(self) -> range:
         return range(self.n)
@@ -131,6 +176,39 @@ class TypeGraph:
 
     def blue_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.vertex_colors) if c == BLUE)
+
+
+def _rows_from_pairs(vertex_colors: bytes, edge_colors: bytes) -> tuple[bytes, ...]:
+    """Rows of the table with this diagonal and these entries in pair order.
+
+    The entries of the pairs (i, i+1), ..., (i, n-1) are consecutive; they
+    fill row i right of the diagonal and column i below it.
+    """
+    n = len(vertex_colors)
+    flat = bytearray(n * n)
+    flat[:: n + 1] = vertex_colors
+    k = 0
+    for i in range(n - 1):
+        upper = edge_colors[k : k + n - 1 - i]
+        flat[i * n + i + 1 : (i + 1) * n] = upper
+        flat[(i + 1) * n + i :: n] = upper
+        k += n - 1 - i
+    return tuple(bytes(flat[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _bit_table(*colors: int) -> bytes:
+    """bytes.translate table sending the given colors (entries) to b"1" and
+    the others to b"0"."""
+    return bytes.maketrans(b"\0\1\2", bytes(b"01"[c in colors] for c in range(3)))
+
+
+_EQUALS = tuple(_bit_table(c) for c in (RED, BLUE, GREEN))
+
+
+def _row_bits(row: bytes, table: bytes) -> int:
+    """Bitset of the positions j whose entry row[j] the table sends to b"1";
+    position j is bit j."""
+    return int(row.translate(table)[::-1] or b"0", 2)
 
 
 def type_from_edges(
@@ -227,9 +305,9 @@ class SimpleGraph:
 class SubtypeCopy:
     """An exact injective copy of `pattern` inside `host`.
 
-    image[k] is the host vertex playing the role of pattern vertex k; vertex
-    colors match and every pattern pair keeps its exact edge color in the
-    host.
+    image[k] is the host vertex playing the role of pattern vertex k: every
+    entry of the pattern's table, vertex colors on the diagonal included,
+    equals the host's entry at the image.
     """
 
     pattern: TypeGraph
@@ -241,14 +319,18 @@ class SubtypeCopy:
             raise ValueError("image length does not match pattern order")
         if len(set(self.image)) != len(self.image):
             raise ValueError("image is not injective")
-        for k, h in enumerate(self.image):
+        for h in self.image:
             if not 0 <= h < self.host.n:
                 raise ValueError(f"image vertex {h} outside host")
-            if self.pattern.vertex_colors[k] != self.host.vertex_colors[h]:
-                raise ValueError(f"vertex color mismatch at pattern vertex {k}")
-        for k, l in vertex_pairs(self.pattern.n):
-            if self.pattern.edge(k, l) != self.host.edge(self.image[k], self.image[l]):
-                raise ValueError(f"edge color mismatch on pattern pair ({k},{l})")
+        for k, (row, h) in enumerate(zip(self.pattern.rows, self.image)):
+            host_row = self.host.rows[h]
+            for l in range(k, len(row)):
+                if row[l] != host_row[self.image[l]]:
+                    raise ValueError(
+                        f"vertex color mismatch at pattern vertex {k}"
+                        if k == l
+                        else f"edge color mismatch on pattern pair ({k},{l})"
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +339,12 @@ class SubtypeCopy:
 
 def type_from_matrix(mat: PartitionMatrix) -> TypeGraph:
     """Type view of a matrix: diagonal 0/1 -> red/blue vertex, entries -> edge colors."""
-    rows = mat.entries
-    vertex_colors = tuple(row[i] for i, row in enumerate(rows))
-    edge_colors = tuple(chain.from_iterable(row[i + 1 :] for i, row in enumerate(rows)))
-    return TypeGraph(vertex_colors, edge_colors)
+    return TypeGraph._from_rows(_byte_form(row) for row in mat.entries)
 
 
 def matrix_from_type(tau: TypeGraph) -> PartitionMatrix:
-    """Exact inverse of type_from_matrix.
-
-    Row i's diagonal and right half come from the edge colors of the pairs
-    (i, i+1), ..., (i, n-1), which are consecutive; its left half is column
-    i of those upper rows.
-    """
-    n, colors = tau.n, tau.edge_colors
-    upper = []
-    k = 0
-    for i, c in enumerate(tau.vertex_colors):
-        upper.append((ZERO,) * i + (c,) + colors[k : k + n - 1 - i])
-        k += n - 1 - i
-    return PartitionMatrix.from_rows(
-        column[:i] + row[i:] for i, (row, column) in enumerate(zip(upper, zip(*upper)))
-    )
+    """Exact inverse of type_from_matrix: the type's rows are the matrix."""
+    return PartitionMatrix.from_rows(tau.rows)
 
 
 def coloring_matrix(k: int) -> PartitionMatrix:
@@ -340,20 +406,12 @@ def homomorphism_matrix(h: SimpleGraph) -> PartitionMatrix:
 
 def is_friendly(mat: PartitionMatrix) -> bool:
     """False iff some 2x2 principal submatrix is [[0,*],[*,0]] or [[1,*],[*,1]]."""
-    entries = mat.entries
-    return _no_two_within_class(
-        _byte_form([row[i] for i, row in enumerate(entries)]),
-        b"".join(_byte_form(row[i + 1 :]) for i, row in enumerate(entries)),
-    )
+    return _no_two_within_class([_byte_form(row) for row in mat.entries])
 
 
 def type_is_friendly(tau: TypeGraph) -> bool:
     """No green edge between two red vertices or between two blue vertices."""
-    return _no_two_within_class(_byte_form(tau.vertex_colors), _byte_form(tau.edge_colors))
-
-
-_TWO_TO_ONE = bytes.maketrans(b"\0\1\2", b"\0\0\1")
-_SWAP_01 = bytes.maketrans(b"\0\1", b"\1\0")
+    return _no_two_within_class(tau.rows)
 
 
 def _byte_form(values: Sequence[int]) -> bytes:
@@ -363,27 +421,18 @@ def _byte_form(values: Sequence[int]) -> bytes:
         return bytes(map(int, values))
 
 
-def _no_two_within_class(classes: bytes, upper: bytes) -> bool:
-    """classes[v] is 0 or 1 and upper holds one value per pair (i, j), i < j,
-    in lexicographic order.  True iff no value 2 (STAR, GREEN) joins two
-    vertices of one class.
+def _no_two_within_class(rows: Sequence[bytes]) -> bool:
+    """rows is a table with 0 or 1 on the diagonal.  True iff no entry 2
+    (STAR, GREEN) joins two vertices whose diagonal entries are equal.
 
-    Row i at a time: the bytes of upper's row i and of the class mask of
-    the vertices after i are read as integers, whose AND is nonzero iff
-    some byte is 1 in both.
+    A row at a time: the bitset of the 2s in row i, where the diagonal
+    never is one, meets the bitset of the vertices in the class of i.
     """
-    n = len(classes)
-    twos = upper.translate(_TWO_TO_ONE)
-    same = (classes.translate(_SWAP_01), classes)  # byte v is 1 iff classes[v] is 0, resp. 1
-    start = 0
-    for i in range(n - 1):
-        end = start + n - 1 - i
-        if int.from_bytes(twos[start:end], "big") & int.from_bytes(
-            same[classes[i]][i + 1 :], "big"
-        ):
-            return False
-        start = end
-    return True
+    classes = bytes(row[i] for i, row in enumerate(rows))
+    same = [_row_bits(classes, _EQUALS[c]) for c in (ZERO, ONE)]
+    return not any(
+        _row_bits(row, _EQUALS[STAR]) & same[row[i]] for i, row in enumerate(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +448,11 @@ def common_neighborhood(tau: TypeGraph, member_set: Iterable[int]) -> frozenset:
     for a in members:
         if not 0 <= a < tau.n:
             raise ValueError(f"vertex {a} outside type")
-    result = []
-    for v in range(tau.n):
-        if v in members:
-            continue
-        saw_red = saw_blue = False
-        for a in members:
-            c = tau.edge(v, a)
-            if c == RED:
-                saw_red = True
-            elif c == BLUE:
-                saw_blue = True
-        if not (saw_red and saw_blue):
-            result.append(v)
-    return frozenset(result)
+    return frozenset(
+        v
+        for v, row in enumerate(tau.rows)
+        if v not in members and not {RED, BLUE} <= {row[a] for a in members}
+    )
 
 
 def subtype(tau: TypeGraph, vertex_set: Iterable[int]) -> TypeGraph:
@@ -421,9 +461,7 @@ def subtype(tau: TypeGraph, vertex_set: Iterable[int]) -> TypeGraph:
     for a in keep:
         if not 0 <= a < tau.n:
             raise ValueError(f"vertex {a} outside type")
-    vertex_colors = tuple(tau.vertex_colors[a] for a in keep)
-    edge_colors = tuple(tau.edge(keep[i], keep[j]) for i, j in vertex_pairs(len(keep)))
-    return TypeGraph(vertex_colors, edge_colors)
+    return TypeGraph._from_rows(bytes(tau.rows[a][b] for b in keep) for a in keep)
 
 
 def subtype_copy(tau: TypeGraph, vertex_set: Iterable[int]) -> SubtypeCopy:
@@ -432,44 +470,23 @@ def subtype_copy(tau: TypeGraph, vertex_set: Iterable[int]) -> SubtypeCopy:
     return SubtypeCopy(subtype(tau, keep), tau, keep)
 
 
-class _HostRows(dict):
-    """rows[t][c]: bitset of host vertices s != t with host.edge(t, s) == c,
-    built the first time the search assigns t."""
-
-    def __init__(self, host: TypeGraph) -> None:
-        super().__init__()
-        self.host = host
-
-    def __missing__(self, t: int) -> tuple[int, int, int]:
-        colors, n = self.host.edge_colors, self.host.n
-        row = [0, 0, 0]
-        k = t - 1  # pair index of (0, t); that of (s + 1, t) is n - 2 - s further
-        for s in range(t):
-            row[colors[k]] |= 1 << s
-            k += n - 2 - s
-        for s in range(t + 1, n):  # (t, t + 1), (t, t + 2), ... are consecutive
-            k += 1
-            row[colors[k]] |= 1 << s
-        self[t] = row = tuple(row)
-        return row
-
-
 def find_subtype_copy(host: TypeGraph, pattern: TypeGraph) -> SubtypeCopy | None:
     """Search for an exact color-preserving injective copy of pattern in host.
 
-    Returns the copy with lexicographically least image, or None.  Every
-    pattern pair asks for an edge color, and no host vertex has an edge to
-    itself, so the host rows already make the image injective.
+    Returns the copy with lexicographically least image, or None.  The
+    pattern's rows are the relation: every pattern pair asks for its exact
+    color.  The host rows leave out each vertex's own diagonal entry, so
+    they also make the image injective.
     """
     by_color = [0, 0]
     for h, c in enumerate(host.vertex_colors):
         by_color[c] |= 1 << h
     domains = [by_color[c] for c in pattern.vertex_colors]
-    relation = [
-        [pattern.edge(k, l) if k != l else RED for l in range(pattern.n)]
-        for k in range(pattern.n)
+    rows = [
+        [_row_bits(row, table) & ~(1 << t) for table in _EQUALS]
+        for t, row in enumerate(host.rows)
     ]
-    image = next(iter(ListSearch(domains, relation, _HostRows(host))), None)
+    image = next(iter(ListSearch(domains, pattern.rows, rows)), None)
     return None if image is None else SubtypeCopy(pattern, host, image)
 
 
@@ -564,27 +581,19 @@ class ListSearch:
 def is_embedding(g: SimpleGraph, tau: TypeGraph, psi: Sequence[int]) -> bool:
     """Does psi embed g into tau?
 
-    Edges must land on one blue vertex or across a blue/green edge; non-edges
-    on one red vertex or across a red/green edge.
+    No edge uv may land on a red entry rows[psi[u]][psi[v]] and no non-edge
+    on a blue one: edges go to one blue vertex or across a blue/green edge,
+    non-edges to one red vertex or across a red/green edge.
     """
     if len(psi) != g.n:
         raise ValueError(f"map has {len(psi)} entries, graph has {g.n} vertices")
     for t in psi:
         if not 0 <= t < tau.n:
             raise ValueError(f"image vertex {t} outside type")
-    n, vertex_colors, edge_colors, edges = tau.n, tau.vertex_colors, tau.edge_colors, g.edges
+    rows, edges = tau.rows, g.edges
     for u, v in vertex_pairs(g.n):
-        s, t = psi[u], psi[v]
-        if s == t:
-            if vertex_colors[s] != (BLUE if (u, v) in edges else RED):
-                return False
-        else:
-            if s > t:
-                s, t = t, s
-            # pair_index(s, t, n), inline: this loop runs once per pair of g
-            c = edge_colors[s * (2 * n - s - 3) // 2 + t - 1]
-            if c == (RED if (u, v) in edges else BLUE):
-                return False
+        if rows[psi[u]][psi[v]] == (RED if (u, v) in edges else BLUE):
+            return False
     return True
 
 
@@ -592,24 +601,18 @@ def is_edge_homomorphism(
     sigma: TypeGraph, tau: TypeGraph, phi: Sequence[int]
 ) -> bool:
     """Red edges may collapse into red vertices or cross red/green edges;
-    blue edges likewise with blue; green edges are unconstrained."""
+    blue edges likewise with blue; green edges are unconstrained.  So a
+    red or blue entry of sigma goes to the same color or to green."""
     if len(phi) != sigma.n:
         raise ValueError(f"map has {len(phi)} entries, type has {sigma.n} vertices")
     for t in phi:
         if not 0 <= t < tau.n:
             raise ValueError(f"image vertex {t} outside target type")
+    rows = tau.rows
     for v, w in vertex_pairs(sigma.n):
-        c = sigma.edge(v, w)
-        if c == GREEN:
-            continue
-        s, t = phi[v], phi[w]
-        if s == t:
-            if tau.vertex_colors[s] != c:
-                return False
-        else:
-            d = tau.edge(s, t)
-            if d != c and d != GREEN:
-                return False
+        c = sigma.rows[v][w]
+        if c != GREEN and rows[phi[v]][phi[w]] not in (c, GREEN):
+            return False
     return True
 
 
@@ -617,16 +620,16 @@ def is_type_homomorphism(
     sigma: TypeGraph, tau: TypeGraph, phi: Sequence[int]
 ) -> bool:
     """Edge-homomorphism that preserves vertex colors and sends green edges
-    across green edges (never collapsing them)."""
+    across green edges (never collapsing them): it keeps every diagonal
+    entry and every green entry of sigma, and a collapsed green edge would
+    land on a diagonal entry, which is never green."""
     if not is_edge_homomorphism(sigma, tau, phi):
         return False
-    for v in range(sigma.n):
-        if sigma.vertex_colors[v] != tau.vertex_colors[phi[v]]:
-            return False
-    for v, w in vertex_pairs(sigma.n):
-        if sigma.edge(v, w) == GREEN:
-            s, t = phi[v], phi[w]
-            if s == t or tau.edge(s, t) != GREEN:
+    rows = tau.rows
+    for v, row in enumerate(sigma.rows):
+        for w in range(v, sigma.n):
+            c = row[w]
+            if (v == w or c == GREEN) and rows[phi[v]][phi[w]] != c:
                 return False
     return True
 

@@ -39,10 +39,10 @@ from .model import (
     PATTERNS,
     RED,
     TypeGraph,
+    _rows_from_pairs,
     matrix_from_type,
     block_row_distinctness,
     find_subtype_copy,
-    pair_index,
     pattern_by_token,
 )
 
@@ -110,17 +110,14 @@ def _sample_arrays(spec: RandomSpec) -> tuple[np.ndarray, np.ndarray]:
 def sample_type(spec: RandomSpec) -> TypeGraph:
     """Deterministic-in-seed random type for the requested model."""
     colors, edges = _sample_arrays(spec)
-    return TypeGraph(tuple(colors.tolist()), tuple(edges.tolist()))
+    return TypeGraph._from_rows(_rows_from_pairs(colors.tobytes(), edges.tobytes()))
 
 
 def color_matrix(tau: TypeGraph) -> np.ndarray:
     """Symmetric edge-color matrix (int8) with -1 on the diagonal."""
     n = tau.n
-    mat = np.full((n, n), -1, dtype=np.int8)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # row-major = pair order
-    vals = np.fromiter(tau.edge_colors, np.int8, count=len(tau.edge_colors))
-    mat[upper] = vals
-    mat.T[upper] = vals
+    mat = np.frombuffer(b"".join(tau.rows), np.int8).reshape(n, n).copy()
+    np.fill_diagonal(mat, -1)
     return mat
 
 
@@ -143,14 +140,13 @@ def plant_subtype(
             raise ValueError(
                 f"vertex color mismatch: position {h} cannot play pattern vertex {k}"
             )
-    colors = list(tau.edge_colors)
-    for k in range(pattern.n):
-        for l in range(k + 1, pattern.n):
-            i, j = position[k], position[l]
-            if i > j:
-                i, j = j, i
-            colors[pair_index(i, j, tau.n)] = pattern.edge(k, l)
-    return TypeGraph(tau.vertex_colors, tuple(colors))
+    rows = list(tau.rows)
+    for i, pattern_row in zip(position, pattern.rows):
+        row = bytearray(rows[i])
+        for j, c in zip(position, pattern_row):  # j == i rewrites the same vertex color
+            row[j] = c
+        rows[i] = bytes(row)
+    return TypeGraph._from_rows(rows)
 
 
 def choose_plant_positions(

@@ -35,10 +35,13 @@ import numpy as np
 
 from .model import (
     BLUE,
+    GREEN,
     RED,
     ListSearch,
     SimpleGraph,
     TypeGraph,
+    _bit_table,
+    _row_bits,
     is_embedding,
     subtype,
     vertex_pairs,
@@ -91,24 +94,19 @@ class SearchResult:
         return self.status == SAT
 
 
+_NOT_BLUE = _bit_table(RED, GREEN)
+_NOT_RED = _bit_table(BLUE, GREEN)
+
+
 def _hom_rows(tau: TypeGraph) -> list[tuple[int, int, int]]:
     """rows[t][c]: bitset of targets s an edge of color c may join to t.
 
     A red (blue) edge may collapse into a red (blue) vertex or cross a red
-    (blue) or green edge; a green edge may go anywhere.
+    (blue) or green edge; a green edge may go anywhere.  With the vertex
+    color on the diagonal, that is every entry of row t but blue (red).
     """
-    n = tau.n
-    red = [1 << t if c != BLUE else 0 for t, c in enumerate(tau.vertex_colors)]
-    blue = [1 << t if c != RED else 0 for t, c in enumerate(tau.vertex_colors)]
-    for (s, t), c in zip(vertex_pairs(n), tau.edge_colors):
-        if c != BLUE:
-            red[s] |= 1 << t
-            red[t] |= 1 << s
-        if c != RED:
-            blue[s] |= 1 << t
-            blue[t] |= 1 << s
-    full = (1 << n) - 1
-    return [(r, b, full) for r, b in zip(red, blue)]
+    full = (1 << tau.n) - 1
+    return [(_row_bits(row, _NOT_BLUE), _row_bits(row, _NOT_RED), full) for row in tau.rows]
 
 
 def find_embedding(
@@ -431,11 +429,7 @@ def enumerate_edge_homomorphisms(
     """All edge-homomorphisms sigma -> tau in lexicographic order."""
     if tau.n > 1 and tau.n**sigma.n > EDGE_HOM_LIMIT:
         raise ValueError(f"search space {tau.n}^{sigma.n} exceeds the guard")
-    relation = [
-        [sigma.edge(k, l) if k != l else RED for l in range(sigma.n)]
-        for k in range(sigma.n)
-    ]
-    yield from ListSearch([(1 << tau.n) - 1] * sigma.n, relation, _hom_rows(tau))
+    yield from ListSearch([(1 << tau.n) - 1] * sigma.n, sigma.rows, _hom_rows(tau))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .model import (
     PartitionMatrix,
     SimpleGraph,
     TypeGraph,
-    matrix_from_type,
     type_from_matrix,
 )
 from .randtypes import MCProperty, MembershipScenario
@@ -98,8 +97,13 @@ def _raise_symmetry_fault(rows: list[tuple[int, ...]]) -> None:
 
 
 def serialize_matrix(mat: PartitionMatrix) -> str:
-    body = "\n".join(bytes(row).translate(_ENTRY_TO_CHAR).decode("ascii") for row in mat.entries)
-    return f"{mat.m}\n{body}\n"
+    return _matrix_file(mat.entries)
+
+
+def _matrix_file(rows) -> str:
+    """The matrix file of a valid table given as its rows of entries."""
+    body = "\n".join(bytes(row).translate(_ENTRY_TO_CHAR).decode("ascii") for row in rows)
+    return f"{len(rows)}\n{body}\n"
 
 
 def parse_type(text: str) -> TypeGraph:
@@ -110,7 +114,7 @@ def serialize_type(tau: TypeGraph) -> str:
     """The matrix file of tau; the format has no file for the empty type."""
     if tau.n == 0:
         raise ValueError("the empty type has no matrix file")
-    return serialize_matrix(matrix_from_type(tau))
+    return _matrix_file(tau.rows)
 
 
 def parse_graph(text: str) -> SimpleGraph:

@@ -641,3 +641,196 @@ class TestSplitGraph:
             edges = [e for e in vertex_pairs(n) if rng.random() < 0.5]
             g = SimpleGraph.from_edges(n, edges)
             assert is_split_graph(g) == self.brute_force_split(g)
+
+
+class TestValuesAreHashable:
+    def test_values_built_from_lists(self):
+        """Lists are copied into the stored form, so the values hash and
+        equal their twins built from tuples."""
+        tau = TypeGraph([RED, BLUE], [GREEN])
+        twin = TypeGraph((RED, BLUE), (GREEN,))
+        assert tau == twin and hash(tau) == hash(twin)
+        mat = PartitionMatrix(([0, 1], [1, 0]))
+        twin_mat = PartitionMatrix(((0, 1), (1, 0)))
+        assert mat == twin_mat and hash(mat) == hash(twin_mat)
+        mat = PartitionMatrix([(0, 2, 1), [2, 1, 0], (1, 0, 0)])
+        assert mat == PartitionMatrix.from_rows([[0, 2, 1], [2, 1, 0], [1, 0, 0]])
+        assert len({mat, PartitionMatrix(((0, 2, 1), (2, 1, 0), (1, 0, 0)))}) == 1
+
+    def test_mapping_row_values_are_checked(self):
+        """A mapping row is stored by its values, so its values must be
+        entries, not only its keys."""
+        with pytest.raises(ValueError, match=r"^bad entry 7 at \(1, 1\)$"):
+            PartitionMatrix(((0, 1), {0: 1, 1: 7}))
+        assert PartitionMatrix(((0, 1), {0: 1, 1: 0})).entries == ((0, 1), (1, 0))
+
+
+class TestEdgeBounds:
+    def test_edge_rejects_a_vertex_and_indices_outside(self):
+        tau = rho_obstruction_family()
+        for i, j in [(0, 0), (5, 5), (-1, 2), (2, -1), (-1, -2), (0, 6), (6, 0), (7, 7)]:
+            lo, hi = min(i, j), max(i, j)
+            with pytest.raises(ValueError, match=rf"^bad pair \({lo}, {hi}\) for n=6$"):
+                tau.edge(i, j)
+        with pytest.raises(ValueError):
+            TypeGraph((), ()).edge(0, 1)
+        assert tau.edge(5, 1) == tau.edge(1, 5) == RED
+        assert tau.edge(3, 0) == GREEN
+
+
+def reference_is_edge_homomorphism(sigma, tau, phi):
+    """is_edge_homomorphism with one edge lookup per pair of sigma."""
+    for v, w in vertex_pairs(sigma.n):
+        c = sigma.edge(v, w)
+        if c == GREEN:
+            continue
+        s, t = phi[v], phi[w]
+        if s == t:
+            if tau.vertex_colors[s] != c:
+                return False
+        elif tau.edge(s, t) not in (c, GREEN):
+            return False
+    return True
+
+
+def reference_is_type_homomorphism(sigma, tau, phi):
+    """is_type_homomorphism with one lookup per vertex and pair of sigma."""
+    if not reference_is_edge_homomorphism(sigma, tau, phi):
+        return False
+    if any(sigma.vertex_colors[v] != tau.vertex_colors[phi[v]] for v in range(sigma.n)):
+        return False
+    return all(
+        phi[v] != phi[w] and tau.edge(phi[v], phi[w]) == GREEN
+        for v, w in vertex_pairs(sigma.n)
+        if sigma.edge(v, w) == GREEN
+    )
+
+
+def reference_common_neighborhood(tau, members):
+    """common_neighborhood with one edge lookup per vertex and member."""
+    result = set()
+    for v in range(tau.n):
+        if v in members:
+            continue
+        colors = [tau.edge(v, a) for a in members]
+        if not (RED in colors and BLUE in colors):
+            result.add(v)
+    return frozenset(result)
+
+
+def reference_copy_is_valid(pattern, host, image):
+    """Whether SubtypeCopy accepts the image, one lookup per vertex and pair."""
+    return (
+        len(image) == pattern.n
+        and len(set(image)) == len(image)
+        and all(0 <= h < host.n for h in image)
+        and all(pattern.vertex_colors[k] == host.vertex_colors[h] for k, h in enumerate(image))
+        and all(
+            pattern.edge(k, l) == host.edge(image[k], image[l])
+            for k, l in vertex_pairs(pattern.n)
+        )
+    )
+
+
+def copy_is_valid(pattern, host, image):
+    try:
+        SubtypeCopy(pattern, host, tuple(image))
+    except ValueError:
+        return False
+    return True
+
+
+def sampled_types():
+    rng = random.Random("table-references")
+    return [
+        sample_type(RandomSpec(n, model, rng.randrange(1000)))
+        for model in ("friendly", "general")
+        for n in (1, 2, 3, 5, 9, 20)
+    ]
+
+
+class TestTablePredicatesAgainstPerPairDefinitions:
+    """The predicates that read the row table against per-pair definitions
+    on edge() and vertex_colors: every type on three vertices with every
+    map into or from small types, and sampled types of both models."""
+
+    def small_pairs(self):
+        rng = random.Random(31)
+        others = [random_type(rng, n) for n in (1, 2, 3, 4)]
+        for t in all_types(3):
+            yield t, t
+            for other in others:
+                yield t, other
+                yield other, t
+
+    def test_homomorphisms_on_all_three_vertex_types(self):
+        seen = set()
+        for sigma, tau in self.small_pairs():
+            for phi in product(range(tau.n), repeat=sigma.n):
+                edge = is_edge_homomorphism(sigma, tau, phi)
+                typed = is_type_homomorphism(sigma, tau, phi)
+                assert edge == reference_is_edge_homomorphism(sigma, tau, phi)
+                assert typed == reference_is_type_homomorphism(sigma, tau, phi)
+                seen.add((edge, typed))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_homomorphisms_on_sampled_types(self):
+        rng = random.Random(32)
+        seen = set()
+        for tau in sampled_types():
+            for _ in range(40):
+                keep = sorted(rng.sample(range(tau.n), rng.randint(1, min(tau.n, 6))))
+                sigma = subtype(tau, keep)
+                for phi in (keep, [rng.randrange(tau.n) for _ in keep]):
+                    edge = is_edge_homomorphism(sigma, tau, phi)
+                    typed = is_type_homomorphism(sigma, tau, phi)
+                    assert edge == reference_is_edge_homomorphism(sigma, tau, phi)
+                    assert typed == reference_is_type_homomorphism(sigma, tau, phi)
+                    seen.add((edge, typed))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_common_neighborhood(self):
+        rng = random.Random(33)
+        cases = [
+            (tau, members)
+            for tau in all_types(3)
+            for k in range(4)
+            for members in combinations(range(3), k)
+        ]
+        for tau in sampled_types():
+            cases += [
+                (tau, rng.sample(range(tau.n), rng.randint(0, min(tau.n, 4))))
+                for _ in range(20)
+            ]
+        for tau, members in cases:
+            assert common_neighborhood(tau, members) == reference_common_neighborhood(
+                tau, members
+            )
+
+    def test_subtype_copy_validation(self):
+        rng = random.Random(34)
+        cases = [
+            (pattern, host, image)
+            for pattern in all_types(2)
+            for host in all_types(3)
+            for image in product(range(-1, 4), repeat=2)
+        ]
+        cases += [(pattern, host, (0,)) for pattern in all_types(2) for host in all_types(3)]
+        for host in sampled_types():
+            for _ in range(20):
+                keep = sorted(rng.sample(range(host.n), rng.randint(0, min(host.n, 6))))
+                pattern = subtype(host, keep)
+                shuffled = rng.sample(keep, len(keep))
+                guessed = [rng.randrange(host.n) for _ in keep]
+                cases += [(pattern, host, image) for image in (keep, shuffled, guessed)]
+        verdicts = set()
+        for pattern, host, image in cases:
+            verdict = copy_is_valid(pattern, host, image)
+            assert verdict == reference_copy_is_valid(pattern, host, image)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_public_constructor_gives_the_type_back(self):
+        for tau in list(all_types(3)) + sampled_types() + [TypeGraph((), ())]:
+            twin = TypeGraph(tau.vertex_colors, tau.edge_colors)
+            assert twin == tau and hash(twin) == hash(tau)

@@ -12,6 +12,7 @@ from matpart.model import (
     PartitionMatrix,
     SimpleGraph,
     TypeGraph,
+    matrix_from_type,
     vertex_pairs,
 )
 from matpart.randtypes import RandomSpec, sample_type
@@ -274,3 +275,15 @@ set=b1,b2
     def test_bad_key(self):
         with pytest.raises(ParseError, match="unknown scenario key"):
             parse_scenario("model=general\ncandidate=red\nwibble=1\n")
+
+
+class TestTypeFileFromRows:
+    @pytest.mark.parametrize("model", ["friendly", "general"])
+    def test_type_file_is_the_matrix_file(self, model):
+        """serialize_type writes the rows it stores, byte for byte the file
+        of the matrix built from the type, and reading it gives the type."""
+        rng = random.Random(f"type-file-{model}")
+        for n in [1, 2, 3] + [rng.randint(4, 60) for _ in range(12)]:
+            tau = sample_type(RandomSpec(n, model, rng.randrange(1000)))
+            assert serialize_type(tau) == serialize_matrix(matrix_from_type(tau))
+            assert parse_type(serialize_type(tau)) == tau
