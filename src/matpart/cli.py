@@ -142,9 +142,9 @@ def _lemma_report_lines(report: randtypes.LemmaReport) -> list[str]:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
-    if bool(args.type_file) == bool(args.sample):
+    if (args.type_file is None) == (args.sample is None):
         raise ValueError("provide exactly one of --type-file or --sample")
-    if args.type_file:
+    if args.type_file is not None:
         tau = textio.parse_type(_read(args.type_file))
         space = randtypes.exhaustive_tuple_space(tau, args.which)
         mode = "exhaustive" if space <= randtypes.EXHAUSTIVE_TUPLE_LIMIT else "sampled"
@@ -157,7 +157,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         )
         _emit(["command=lemma", f"source={args.type_file}"] + _lemma_report_lines(report))
         return 0
-    if not args.seeds:
+    if args.seeds is None:
         raise ValueError("--sample requires --seeds")
     model = "general" if args.which == "nsize3" else "friendly"
     prop = randtypes.MCProperty(

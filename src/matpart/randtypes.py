@@ -8,16 +8,19 @@ friendly model's colors are fixed), then edge colors in lexicographic pair
 order.  Two-way choices use the draw mod 2, three-way choices mod 3, with
 0 -> red, 1 -> blue, 2 -> green.
 
-The lemma checkers first draw (or enumerate) their tuples with the same
-generator calls, in the same order, as a one-tuple-at-a-time walk, and
-then evaluate them LEMMA_CHUNK at a time in array code: a chunk gathers
-the members' columns of the red/blue edge indicators, so it costs memory
-in proportion to vertices x chunk.  The chunks are bounded, rather than
-every tuple taken in one gather, because that gather grows with the
-sample count: at n=200 one gather of 2000 nsize2 sets raised the peak
-memory by about 20 MB, while chunks of 128 stay within 1 MB.  Sizes are
-exact integer sums and popcounts, and the worst witnesses keep the first
-extremum, so reports do not depend on the chunk size.
+Sampled lemma tuples come from a random.Random seeded by the lemma id and
+the seed, each member set made from the getrandbits calls that
+random.Random.sample would make for it (`_sample`).  The lemma checkers
+first draw (or enumerate) their tuples with the same generator calls, in
+the same order, as a one-tuple-at-a-time walk, and then evaluate them
+LEMMA_CHUNK at a time in array code: a chunk gathers the members' columns
+of the red/blue edge indicators, so it costs memory in proportion to
+vertices x chunk.  The chunks are bounded, rather than every tuple taken
+in one gather, because that gather grows with the sample count: at n=200
+one gather of 2000 nsize2 sets raised the peak memory by about 20 MB,
+while chunks of 128 stay within 1 MB.  Sizes are exact integer sums and
+popcounts, and the worst witnesses keep the first extremum, so reports do
+not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -282,6 +285,7 @@ def chernoff_tail_bound(eps: Fraction | float, n: int) -> float:
 
 EXHAUSTIVE_TUPLE_LIMIT = 10**7
 LEMMA_CHUNK = 128  # tuples evaluated together; bounds the per-chunk arrays
+_SAMPLE_SETSIZE = 21  # random.Random.sample's pool/set threshold for k <= 5
 
 LEMMA_THRESHOLDS = {
     "nsize": (Fraction(2, 3), Fraction(16, 27)),
@@ -457,23 +461,112 @@ def _all_sets(red_pool, blue_pool, red_count, blue_count):
 
 
 def _nsize_draws(reds, blues, nv, samples, rng):
-    """Sampled nsize tuples (r1, r2, b1, b2, v, w), drawn lazily in stream order."""
+    """Sampled nsize tuples (r1, r2, b1, b2, v, w), drawn lazily in stream order.
+
+    Every pair is sorted(rng.sample(pop, 2)) made from the same getrandbits
+    calls, so the tuples and the generator state afterwards are those of
+    rng.sample; (v, w) is redrawn while it equals the red or the blue pair.
+    When every population is above _SAMPLE_SETSIZE, sample's set branch is
+    inlined: a first index below the population size, then a second that also
+    differs from the first.
+    """
+    if min(len(reds), len(blues), nv) <= _SAMPLE_SETSIZE:
+        vertices = range(nv)
+        for _ in range(samples):
+            r1, r2 = sorted(_sample(rng, reds, 2))
+            b1, b2 = sorted(_sample(rng, blues, 2))
+            while True:
+                v, w = sorted(_sample(rng, vertices, 2))
+                if (v, w) != (r1, r2) and (v, w) != (b1, b2):
+                    break
+            yield r1, r2, b1, b2, v, w
+        return
+    getrandbits = rng.getrandbits
+    nr, nb = len(reds), len(blues)
+    kr, kb, kv = nr.bit_length(), nb.bit_length(), nv.bit_length()
     for _ in range(samples):
-        r1, r2 = sorted(rng.sample(reds, 2))
-        b1, b2 = sorted(rng.sample(blues, 2))
+        i = getrandbits(kr)
+        while i >= nr:
+            i = getrandbits(kr)
+        j = getrandbits(kr)
+        while j >= nr or j == i:
+            j = getrandbits(kr)
+        r1, r2 = reds[i], reds[j]
+        if r1 > r2:
+            r1, r2 = r2, r1
+        i = getrandbits(kb)
+        while i >= nb:
+            i = getrandbits(kb)
+        j = getrandbits(kb)
+        while j >= nb or j == i:
+            j = getrandbits(kb)
+        b1, b2 = blues[i], blues[j]
+        if b1 > b2:
+            b1, b2 = b2, b1
         while True:
-            v, w = sorted(rng.sample(range(nv), 2))
-            if (v, w) != (r1, r2) and (v, w) != (b1, b2):
+            v = getrandbits(kv)
+            while v >= nv:
+                v = getrandbits(kv)
+            w = getrandbits(kv)
+            while w >= nv or w == v:
+                w = getrandbits(kv)
+            if v > w:
+                v, w = w, v
+            if (v != r1 or w != r2) and (v != b1 or w != b2):
                 break
         yield r1, r2, b1, b2, v, w
 
 
 def _set_draws(red_pool, blue_pool, red_count, blue_count, samples, rng):
-    """Sampled sets of fixed color composition, drawn lazily in stream order."""
+    """Sampled sets of fixed color composition, drawn lazily in stream order.
+
+    Each set makes the getrandbits calls of rng.sample(red_pool, red_count),
+    then of rng.sample(blue_pool, blue_count) when blue_count is not 0.
+    """
     for _ in range(samples):
-        rsel = sorted(rng.sample(red_pool, red_count))
-        bsel = sorted(rng.sample(blue_pool, blue_count)) if blue_count else []
+        rsel = sorted(_sample(rng, red_pool, red_count))
+        bsel = sorted(_sample(rng, blue_pool, blue_count)) if blue_count else []
         yield tuple(rsel) + tuple(bsel)
+
+
+def _sample(rng: random.Random, population: Sequence, k: int) -> list:
+    """rng.sample(population, k), made from the same rng.getrandbits calls
+    without sample's per-call overhead.
+
+    This replays CPython's algorithm (unchanged from 3.10 to 3.13).  An index
+    below m takes getrandbits(m.bit_length()) draws until one is below m.
+    A population of at most _SAMPLE_SETSIZE (plus 4 ** ceil(log(3k, 4)) when
+    k > 5) is drawn from a pool, the i-th index below n - i, with the pool's
+    last member moved into the vacancy; a larger one by indices below n,
+    redrawn while already taken.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = _SAMPLE_SETSIZE
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    bits = n.bit_length()
+    taken = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in taken:
+            j = getrandbits(bits)
+        taken.add(j)
+        result.append(population[j])
+    return result
 
 
 def _pair_masks(red: np.ndarray, blue: np.ndarray, a, b) -> np.ndarray:

@@ -188,6 +188,18 @@ class TestLemma:
         res = run_cli("lemma", "--which", "nsize")
         assert res.returncode == 2
 
+    def test_zero_sample_names_the_size(self):
+        res = run_cli("lemma", "--which", "nsize", "--sample", "0", "--seeds", "3")
+        assert res.returncode == 2
+        assert "n must be >= 1" in res.stderr
+        assert "exactly one of" not in res.stderr
+
+    def test_zero_seeds_names_the_seed_count(self):
+        res = run_cli("lemma", "--which", "nsize", "--sample", "5", "--seeds", "0")
+        assert res.returncode == 2
+        assert "need at least one seed" in res.stderr
+        assert "requires --seeds" not in res.stderr
+
 
 class TestConstructObstruction:
     def test_with_checks(self):

@@ -28,6 +28,9 @@ from matpart.randtypes import (
     MCProperty,
     MembershipScenario,
     RandomSpec,
+    _nsize_draws,
+    _sample,
+    _set_draws,
     chernoff_exponent,
     chernoff_tail_bound,
     check_neighborhood_lemma,
@@ -630,6 +633,90 @@ class TestChunkedLemmaEvaluation:
             assert rep.samples > LEMMA_CHUNK
             assert rep == reference_report(tau, lemma_id, "exhaustive")
             assert rep.worst_i == first
+
+
+def old_nsize_draws(reds, blues, nv, samples, rng):
+    """The rng.sample-based nsize draw that _nsize_draws replays."""
+    for _ in range(samples):
+        r1, r2 = sorted(rng.sample(reds, 2))
+        b1, b2 = sorted(rng.sample(blues, 2))
+        while True:
+            v, w = sorted(rng.sample(range(nv), 2))
+            if (v, w) != (r1, r2) and (v, w) != (b1, b2):
+                break
+        yield r1, r2, b1, b2, v, w
+
+
+def old_set_draws(red_pool, blue_pool, red_count, blue_count, samples, rng):
+    """The rng.sample-based set draw that _set_draws replays."""
+    for _ in range(samples):
+        rsel = sorted(rng.sample(red_pool, red_count))
+        bsel = sorted(rng.sample(blue_pool, blue_count)) if blue_count else []
+        yield tuple(rsel) + tuple(bsel)
+
+
+SAMPLE_SIZES = list(range(1, 31)) + [84, 85, 86, 200, 400]
+
+
+class TestSampleReplay:
+    """The getrandbits draws equal CPython's Random.sample call for call, so
+    a change to sample's algorithm in a new CPython fails here first."""
+
+    @pytest.mark.parametrize("n", SAMPLE_SIZES)
+    def test_equals_random_sample(self, n):
+        population = [f"m{i}" for i in range(n)]
+        for k in range(min(n, 8) + 1):
+            for seed in (0, 1, "nsize-7", 2**40 + 3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(3):  # later calls start from a used state
+                    assert _sample(ours, population, k) == theirs.sample(population, k)
+                    assert ours.getstate() == theirs.getstate()
+
+    # 22 is the smallest size drawn by the inlined pairs; its 2000 tuples
+    # redraw (v, w) for equalling the red pair and for equalling the blue one
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 12, 22, 30, 200])
+    def test_nsize_draws_equal_the_sample_based_draws(self, n):
+        tau = sample_type(RandomSpec(n, "friendly", n))
+        reds, blues = list(tau.red_vertices()), list(tau.blue_vertices())
+        for seed in (0, 9):
+            ours, theirs = random.Random(f"nsize-{seed}"), random.Random(f"nsize-{seed}")
+            assert list(_nsize_draws(reds, blues, tau.n, 2000, ours)) == list(
+                old_nsize_draws(reds, blues, tau.n, 2000, theirs)
+            )
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RandomSpec(6, "friendly", 1),
+            RandomSpec(21, "friendly", 2),
+            RandomSpec(22, "friendly", 3),
+            RandomSpec(85, "friendly", 4),
+            RandomSpec(86, "friendly", 5),
+            RandomSpec(3, "general", 6),
+            RandomSpec(22, "general", 7),
+            RandomSpec(30, "general", 8),
+            RandomSpec(200, "general", 9),
+        ],
+    )
+    def test_set_draws_equal_the_sample_based_draws(self, spec):
+        tau = sample_type(spec)
+        reds, blues = list(tau.red_vertices()), list(tau.blue_vertices())
+        pools = [(list(range(tau.n)), [], 3, 0)]  # nsize3
+        if len(reds) >= 6 and len(blues) >= 3:
+            pools.append((reds, blues, 6, 3))  # nsize2
+        for pool in pools:
+            for seed in (0, 9):
+                ours, theirs = random.Random(f"s-{seed}"), random.Random(f"s-{seed}")
+                assert list(_set_draws(*pool, 200, ours)) == list(
+                    old_set_draws(*pool, 200, theirs)
+                )
+                assert ours.getstate() == theirs.getstate()
+
+    def test_rejects_what_random_sample_rejects(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="population or is negative"):
+                _sample(random.Random(0), range(3), k)
 
 
 def old_color_matrix(tau):
