@@ -6,7 +6,8 @@ diagonal; it specifies which vertex classes of a partition must span
 non-edges (0), edges (1), or anything (*).  A *type* is the same matrix
 read as a colored complete graph: M[i][i] colors vertex i red (0) or blue
 (1), and M[i][j] colors the edge ij red, blue or green (0, 1, *).
-TypeGraph stores exactly that table, one bytes row per vertex, so a
+PartitionMatrix and TypeGraph both store exactly that table, one bytes row
+per index, so a matrix and its type share one tuple of rows, and a
 vertex's view of the type is its row and needs no walk in pair order.
 
 Because the diagonal holds the vertex color, one rule decides where a map
@@ -21,6 +22,7 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -31,10 +33,7 @@ ZERO, ONE, STAR = 0, 1, 2  # matrix entries, aligned with the color corresponden
 
 COLOR_NAMES = ("red", "blue", "green")
 _EDGE_COLORS = frozenset((RED, BLUE, GREEN))
-_ENTRIES = frozenset((ZERO, ONE, STAR))
 ENTRY_CHARS = "01*"
-
-VertexMap = tuple  # map from vertices 0..k-1 of a domain to target vertex indices
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -49,46 +48,47 @@ def vertex_pairs(n: int):
     return combinations(range(n), 2)
 
 
-@dataclass(frozen=True)
-class PartitionMatrix:
-    """Symmetric m x m table over {ZERO, ONE, STAR}, no STAR on the diagonal."""
+@dataclass(frozen=True, init=False)
+class _Table:
+    """A symmetric table stored as one bytes row per index, the stored form
+    of both PartitionMatrix and TypeGraph."""
 
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[bytes, ...]
 
-    def __post_init__(self) -> None:
-        entries = self.entries
+    @classmethod
+    def _from_rows(cls, rows: Iterable[bytes]):
+        """The value with these rows, which the caller guarantees form a
+        valid table: symmetric, 0 or 1 on the diagonal, 0..2 elsewhere."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "rows", tuple(rows))
+        return table
+
+
+@dataclass(frozen=True, init=False)
+class PartitionMatrix(_Table):
+    """Symmetric m x m table over {ZERO, ONE, STAR}, no STAR on the diagonal.
+
+    Stored as a TypeGraph is, one bytes row per index, so a matrix and its
+    type share one tuple of rows; entries gives the rows as int tuples.
+    The constructor validates any square sequence of rows, reading each
+    row by index (a mapping row by its values), and names the first fault.
+    """
+
+    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
         m = len(entries)
-        try:
-            valid = (
-                all(len(row) == m for row in entries)
-                and set().union(*entries) <= _ENTRIES
-                and STAR not in [row[i] for i, row in enumerate(entries)]
-                and tuple(zip(*entries)) == entries
-            )
-        except (TypeError, LookupError):  # an odd row or entry: the walk below names it
-            valid = False
-        if valid:
-            return
         for i, row in enumerate(entries):
             if len(row) != m:
                 raise ValueError(f"row {i} has length {len(row)}, expected {m}")
-            for j, e in enumerate(row):
-                if e not in (ZERO, ONE, STAR):
-                    raise ValueError(f"bad entry {e!r} at ({i}, {j})")
-        for i in range(m):
-            if entries[i][i] == STAR:
-                raise ValueError(f"star on diagonal {i}")
-            for j in range(i + 1, m):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError(f"not symmetric ({i},{j})")
-        # valid, but not a tuple of tuples (the test above compares with tuples):
-        # store one, read as entry() reads it, so the value hashes and compares
-        rows = tuple(tuple(row[j] for j in range(m)) for row in entries)
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if e not in (ZERO, ONE, STAR):  # a mapping row: the walk read its keys
-                    raise ValueError(f"bad entry {e!r} at ({i}, {j})")
-        object.__setattr__(self, "entries", rows)
+            _check_entries(i, row)
+        fault = _table_fault(entries)
+        if fault is not None:
+            raise ValueError(fault[2])
+        rows = []
+        for i, row in enumerate(entries):
+            values = [row[j] for j in range(m)]
+            _check_entries(i, values)  # a mapping row: the walks read its keys
+            rows.append(_byte_form(values))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PartitionMatrix":
@@ -96,14 +96,34 @@ class PartitionMatrix:
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(row) for row in self.rows)
+
+
+def _check_entries(i: int, row: Iterable) -> None:
+    for j, e in enumerate(row):
+        if e not in (ZERO, ONE, STAR):
+            raise ValueError(f"bad entry {e!r} at ({i}, {j})")
+
+
+def _table_fault(rows: Sequence[Sequence[int]]) -> tuple[int, int, str] | None:
+    """The first fault of a square table in row order, as (i, j, message):
+    a star on the diagonal (j == i) or an asymmetric pair (i < j).  None
+    if there is neither."""
+    for i, row in enumerate(rows):
+        if row[i] == STAR:
+            return i, i, f"star on diagonal {i}"
+        for j in range(i + 1, len(rows)):
+            if row[j] != rows[j][i]:
+                return i, j, f"not symmetric ({i},{j})"
+    return None
 
 
 @dataclass(frozen=True, init=False)
-class TypeGraph:
+class TypeGraph(_Table):
     """Complete graph with red/blue vertices and red/blue/green edges,
     stored as its partition matrix.
 
@@ -117,8 +137,6 @@ class TypeGraph:
     lexicographic pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., and
     validates them; vertex_colors and edge_colors give them back.
     """
-
-    rows: tuple[bytes, ...]
 
     def __init__(self, vertex_colors: Sequence[int], edge_colors: Sequence[int]) -> None:
         n = len(vertex_colors)
@@ -140,14 +158,6 @@ class TypeGraph:
         rows = _rows_from_pairs(_byte_form(vertex_colors), _byte_form(edge_colors))
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def _from_rows(cls, rows: Iterable[bytes]) -> "TypeGraph":
-        """The type with these rows, which the caller guarantees form a
-        valid table: symmetric, 0 or 1 on the diagonal, 0..2 elsewhere."""
-        tau = cls.__new__(cls)
-        object.__setattr__(tau, "rows", tuple(rows))
-        return tau
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -167,9 +177,6 @@ class TypeGraph:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bad pair ({min(i, j)}, {max(i, j)}) for n={n}")
         return self.rows[i][j]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def red_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.vertex_colors) if c == RED)
@@ -278,9 +285,6 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u + w - v for (u, w) in self.edges if v in (u, w)))
-
     def induced(self, keep: Sequence[int]) -> "SimpleGraph":
         """Induced subgraph on `keep`, reindexed in the given order."""
         pos = {v: k for k, v in enumerate(keep)}
@@ -339,12 +343,12 @@ class SubtypeCopy:
 
 def type_from_matrix(mat: PartitionMatrix) -> TypeGraph:
     """Type view of a matrix: diagonal 0/1 -> red/blue vertex, entries -> edge colors."""
-    return TypeGraph._from_rows(_byte_form(row) for row in mat.entries)
+    return TypeGraph._from_rows(mat.rows)
 
 
 def matrix_from_type(tau: TypeGraph) -> PartitionMatrix:
     """Exact inverse of type_from_matrix: the type's rows are the matrix."""
-    return PartitionMatrix.from_rows(tau.rows)
+    return PartitionMatrix._from_rows(tau.rows)
 
 
 def coloring_matrix(k: int) -> PartitionMatrix:
@@ -406,7 +410,7 @@ def homomorphism_matrix(h: SimpleGraph) -> PartitionMatrix:
 
 def is_friendly(mat: PartitionMatrix) -> bool:
     """False iff some 2x2 principal submatrix is [[0,*],[*,0]] or [[1,*],[*,1]]."""
-    return _no_two_within_class([_byte_form(row) for row in mat.entries])
+    return _no_two_within_class(mat.rows)
 
 
 def type_is_friendly(tau: TypeGraph) -> bool:
@@ -656,15 +660,12 @@ class BlockRowReport:
 def block_row_distinctness(mat: PartitionMatrix) -> BlockRowReport:
     """Compare full matrix rows within the diagonal-0 and diagonal-1 blocks."""
 
-    def stats(rows: list[tuple[int, ...]]) -> tuple[bool, bool]:
-        counts: dict[tuple[int, ...], int] = {}
-        for r in rows:
-            counts[r] = counts.get(r, 0) + 1
-        mult = max(counts.values(), default=0)
+    def stats(rows: list[bytes]) -> tuple[bool, bool]:
+        mult = max(Counter(rows).values(), default=0)
         return mult <= 1, mult <= 2
 
-    a_rows = [mat.entries[i] for i in range(mat.m) if mat.entries[i][i] == ZERO]
-    b_rows = [mat.entries[i] for i in range(mat.m) if mat.entries[i][i] == ONE]
+    a_rows = [row for i, row in enumerate(mat.rows) if row[i] == ZERO]
+    b_rows = [row for i, row in enumerate(mat.rows) if row[i] == ONE]
     a2, a3 = stats(a_rows)
     b2, b3 = stats(b_rows)
     return BlockRowReport(a2, b2, a3, b3)

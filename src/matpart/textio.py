@@ -32,6 +32,7 @@ from .model import (
     PartitionMatrix,
     SimpleGraph,
     TypeGraph,
+    _table_fault,
     type_from_matrix,
 )
 from .randtypes import MCProperty, MembershipScenario
@@ -47,10 +48,10 @@ class ParseError(ValueError):
         self.column = column
 
 
-_ENTRY_CHAR_SET = frozenset(ENTRY_CHARS)
+_ENTRY_BYTES = ENTRY_CHARS.encode("ascii")
 # ENTRY_CHARS bytes <-> entries 0, 1, 2, for bytes.translate
-_CHAR_TO_ENTRY = bytes.maketrans(ENTRY_CHARS.encode("ascii"), bytes(range(len(ENTRY_CHARS))))
-_ENTRY_TO_CHAR = bytes.maketrans(bytes(range(len(ENTRY_CHARS))), ENTRY_CHARS.encode("ascii"))
+_CHAR_TO_ENTRY = bytes.maketrans(_ENTRY_BYTES, bytes(range(len(_ENTRY_BYTES))))
+_ENTRY_TO_CHAR = bytes.maketrans(bytes(range(len(_ENTRY_BYTES))), _ENTRY_BYTES)
 
 
 def parse_matrix(text: str) -> PartitionMatrix:
@@ -65,44 +66,36 @@ def parse_matrix(text: str) -> PartitionMatrix:
         raise ParseError("dimension must be positive", 1)
     if len(lines) < m + 1:
         raise ParseError(f"expected {m} rows, found {len(lines) - 1}", len(lines))
-    rows: list[tuple[int, ...]] = []
+    rows: list[bytes] = []
     for i in range(m):
         raw = lines[1 + i].strip()
         if len(raw) != m:
             raise ParseError(f"row has {len(raw)} entries, expected {m}", 2 + i)
-        if not set(raw) <= _ENTRY_CHAR_SET:
-            j, ch = next((j, ch) for j, ch in enumerate(raw) if ch not in _ENTRY_CHAR_SET)
+        row = raw.encode("ascii", "replace")  # one byte per character
+        if row.translate(None, _ENTRY_BYTES):
+            j, ch = next((j, ch) for j, ch in enumerate(raw) if ch not in ENTRY_CHARS)
             raise ParseError(f"bad entry {ch!r}", 2 + i, j + 1)
-        rows.append(tuple(raw.encode("ascii").translate(_CHAR_TO_ENTRY)))
-    try:
-        mat = PartitionMatrix(tuple(rows))
-    except ValueError:  # a star on the diagonal or an asymmetric pair
-        _raise_symmetry_fault(rows)
-        raise
+        rows.append(row.translate(_CHAR_TO_ENTRY))
+    flat = b"".join(rows)
+    if STAR in flat[:: m + 1] or any(flat[i::m] != row for i, row in enumerate(rows)):
+        i, j, message = _table_fault(rows)
+        raise ParseError(message, 2 + i, j + 1)
     for k in range(m + 1, len(lines)):
         if lines[k].strip():
             raise ParseError("trailing content after matrix", k + 1)
-    return mat
-
-
-def _raise_symmetry_fault(rows: list[tuple[int, ...]]) -> None:
-    """Raise the ParseError for the first star on the diagonal or
-    asymmetric pair, in row order."""
-    for i, row in enumerate(rows):
-        if row[i] == STAR:
-            raise ParseError(f"star on diagonal {i}", 2 + i, i + 1) from None
-        for j in range(i + 1, len(rows)):
-            if row[j] != rows[j][i]:
-                raise ParseError(f"not symmetric ({i},{j})", 2 + i, j + 1) from None
+    return PartitionMatrix._from_rows(rows)
 
 
 def serialize_matrix(mat: PartitionMatrix) -> str:
-    return _matrix_file(mat.entries)
+    return _matrix_file(mat.rows, "matrix")
 
 
-def _matrix_file(rows) -> str:
-    """The matrix file of a valid table given as its rows of entries."""
-    body = "\n".join(bytes(row).translate(_ENTRY_TO_CHAR).decode("ascii") for row in rows)
+def _matrix_file(rows: tuple[bytes, ...], name: str) -> str:
+    """The matrix file of a valid table given as its bytes rows; the format
+    has no file for the empty table, here called the empty `name`."""
+    if not rows:
+        raise ValueError(f"the empty {name} has no matrix file")
+    body = "\n".join(row.translate(_ENTRY_TO_CHAR).decode("ascii") for row in rows)
     return f"{len(rows)}\n{body}\n"
 
 
@@ -111,10 +104,7 @@ def parse_type(text: str) -> TypeGraph:
 
 
 def serialize_type(tau: TypeGraph) -> str:
-    """The matrix file of tau; the format has no file for the empty type."""
-    if tau.n == 0:
-        raise ValueError("the empty type has no matrix file")
-    return _matrix_file(tau.rows)
+    return _matrix_file(tau.rows, "type")
 
 
 def parse_graph(text: str) -> SimpleGraph:

@@ -19,11 +19,13 @@ from matpart.model import (
     BLUE,
     GREEN,
     RED,
+    PartitionMatrix,
     SimpleGraph,
     TypeGraph,
     coloring_matrix,
     common_neighborhood,
     is_embedding,
+    is_split_graph,
     rho_three_coloring,
     type_from_matrix,
     vertex_pairs,
@@ -194,6 +196,25 @@ def test_criterion_5_obstruction_enumeration():
         f"2-coloring: {[(g.n, len(g.edges)) for g in got2]}, "
         f"3-coloring: {[(g.n, len(g.edges)) for g in got3]}",
     )
+
+
+def test_split_matrix_obstructions_and_split_graphs():
+    """[[0,*],[*,1]] asks for an independent set and a clique: its minimal
+    obstructions are 2K2, C4 and C5 (Foldes and Hammer 1977), and a graph
+    embeds exactly when is_split_graph says it is split."""
+    split = type_from_matrix(PartitionMatrix.from_rows([[0, 2], [2, 1]]))
+    two_k2 = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+    expected = {
+        (g.n, canonical_code(g))
+        for g in (two_k2, SimpleGraph.cycle(4), SimpleGraph.cycle(5))
+    }
+    got = enumerate_minimal_obstructions(split, 7)
+    assert {(g.n, canonical_code(g)) for g in got} == expected
+    for n in range(6):
+        pairs = list(vertex_pairs(n))
+        for mask in range(1 << len(pairs)):
+            g = SimpleGraph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            assert find_embedding(g, split).found == is_split_graph(g), sorted(g.edges)
 
 
 def test_criterion_6_obstruction_family_instances():

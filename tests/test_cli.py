@@ -307,6 +307,15 @@ class TestMalformedInputs:
         assert needle in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_unallocatable_type_is_exit_2(self, tmp_path):
+        """2e7 vertices need a 364 TiB pair table, more than any address
+        space holds: an input error, not a property failure."""
+        res = run_cli("gen-type", "--n", "10000000", "--model", "friendly",
+                      "--seed", "1", "--out", str(tmp_path / "huge.mat"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: Unable to allocate")
+        assert "Traceback" not in res.stderr
+
     def test_bad_experiment_number_is_exit_2(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("property=block_rows\nn=5,x\nseeds=3\n")

@@ -225,6 +225,16 @@ class TestConversions:
         assert tau.vertex_colors == (RED, RED, RED)
         assert all(c == GREEN for c in tau.edge_colors)
 
+    def test_matrix_and_type_share_rows(self):
+        """One table format: a conversion wraps the same tuple of bytes rows,
+        and a matrix never equals the type it reads as."""
+        mat = PartitionMatrix.from_rows([[0, 2, 1], [2, 1, 0], [1, 0, 0]])
+        assert mat.rows == (b"\0\2\1", b"\2\1\0", b"\1\0\0")
+        tau = type_from_matrix(mat)
+        assert tau.rows is mat.rows
+        assert matrix_from_type(tau).rows is mat.rows
+        assert matrix_from_type(tau) == mat and tau != mat
+
     def test_family_pattern_diagonal(self):
         mat = matrix_from_type(rho_obstruction_family())
         assert tuple(mat.entries[i][i] for i in range(6)) == (0, 0, 0, 1, 1, 1)

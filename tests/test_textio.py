@@ -159,6 +159,14 @@ class TestTypeFileRoundTrip:
         with pytest.raises(ParseError, match="dimension must be positive"):
             parse_type("0\n\n")
 
+    def test_empty_matrix_has_no_file(self):
+        """Both serializers refuse the empty table, which parse_matrix would
+        reject."""
+        with pytest.raises(ValueError, match="empty matrix has no matrix file"):
+            serialize_matrix(PartitionMatrix(()))
+        with pytest.raises(ParseError, match="dimension must be positive"):
+            parse_matrix("0\n\n")
+
     @pytest.mark.parametrize("model", ["friendly", "general"])
     def test_sampled_types(self, model):
         rng = random.Random(f"round-trip-{model}")
