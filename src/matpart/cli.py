@@ -34,7 +34,8 @@ def _emit(lines: list[str]) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as handle:
+    # undecodable bytes become U+FFFD, so the parser names the line and column
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         return handle.read()
 
 

@@ -9,12 +9,13 @@ target rows of _hom_rows.  Everything is complete (no heuristics that lose
 solutions), and a node limit turns the answer into a tri-state so a timeout
 is never mistaken for "no embedding".
 
-find_embedding has two cores for one search tree.  ListSearch walks it a
-node at a time and gives every map; _bitset_search expands many nodes of
-the same tree per numpy call but only decides.  A search tree without a
-solution has the same node count and depth in any visiting order, so proofs
-of non-embedding longer than BATCH_BUDGET nodes go to the batched core and
-every SearchResult is the one ListSearch alone would give.  The batched
+find_embedding walks one search tree in one order, with two cores.
+ListSearch expands a node at a time; _bitset_search expands many nodes of
+the same tree per numpy call, in the same preorder, so it reaches the same
+first map or the same proof of non-embedding and gives the SearchResult
+ListSearch alone would give.  Searches longer than BATCH_BUDGET nodes go to
+the batched core; only one that passes the caller's node limit there runs
+ListSearch again, for the node count and depth at the limit.  The batched
 core keeps a row of n words per node, so only graphs whose worst case fits
 in MAX_BATCH_BYTES use it; larger graphs stay on ListSearch.
 
@@ -120,10 +121,12 @@ def find_embedding(
     vertex first.
 
     rows is _hom_rows(tau), for a caller that searches one type many times.
-    A search that outlasts BATCH_BUDGET nodes is decided by _bitset_search
-    if its arrays fit in MAX_BATCH_BYTES; when that finds no proof of
-    non-embedding, ListSearch runs again under the caller's limit to give
-    the map, node count and depth.
+    ListSearch runs for BATCH_BUDGET nodes; a search that outlasts them
+    goes to _bitset_search if its arrays fit in MAX_BATCH_BYTES, which
+    returns the same map, node count and depth on SAT and UNSAT.  Its count
+    runs ahead of ListSearch's within a step, so past the caller's limit it
+    cannot tell where ListSearch would stop; then ListSearch runs again
+    under the limit.
     """
     cfg = config or SolverConfig()
     if rows is None:
@@ -137,9 +140,9 @@ def find_embedding(
         first = _list_search(relation, rows, BATCH_BUDGET)
         if first.status != UNKNOWN:
             return first
-        status, nodes, depth = _bitset_search(g, rows, limit)
-        if status == UNSAT:
-            return SearchResult(UNSAT, None, nodes, depth)
+        result = _bitset_search(g, rows, limit)
+        if result.status != UNKNOWN:
+            return result
     return _list_search(relation, rows, limit)
 
 
@@ -167,9 +170,14 @@ def _batch_dtype(k: int) -> type[np.unsignedinteger]:
 
 def _batch_bytes(n: int, k: int) -> float:
     """Worst-case bytes of _bitset_search on n vertices and k targets: the
-    forward table of n * k rows, at most one pending chunk per depth and
-    the gather of one step, each chunk up to BATCH_CHILDREN rows of n
-    words.  Infinite for more than MAX_BATCH_TARGETS targets."""
+    forward table of n * k rows, n children arrays of pending rows and four
+    arrays the size of one step's children, each array up to BATCH_CHILDREN
+    rows of n words.  Infinite for more than MAX_BATCH_TARGETS targets.
+
+    Pending rows keep preorder, so their depths never rise from front to
+    back, and a step's children are all the pending rows deeper than its
+    last taken row.  The pending rows of one depth thus come from one step,
+    and keep that step's children array alive: at most n of them."""
     if k > MAX_BATCH_TARGETS:
         return float("inf")
     itemsize = np.dtype(_batch_dtype(k)).itemsize
@@ -178,24 +186,38 @@ def _batch_bytes(n: int, k: int) -> float:
 
 def _bitset_search(
     g: SimpleGraph, rows: Sequence[tuple[int, int, int]], limit: int | None
-) -> tuple[str, int, int]:
-    """Decide whether g embeds by expanding ListSearch's tree (fewest
-    targets first, ties to the lower vertex) many nodes per numpy call.
+) -> SearchResult:
+    """ListSearch's search (fewest targets first, ties to the lower vertex),
+    expanding many nodes of its tree per numpy call, in its order.
 
-    Returns (status, nodes, depth).  On UNSAT, nodes and depth are those of
-    ListSearch, since the whole tree is visited; on SAT or UNKNOWN they
-    depend on the visiting order and mean nothing to the caller.
+    Returns ListSearch's SearchResult on SAT and UNSAT: the same map, node
+    count and depth.  Past limit nodes it returns UNKNOWN with its own
+    count, which runs ahead of ListSearch's, since a step expands a whole
+    batch of nodes at once; the node count and depth ListSearch would
+    reach at the limit are not known here.
 
     A search node is a row of target lists, one integer per vertex of g.  A
     free vertex carries its targets plus the top bit; an assigned vertex is
     0, so a target list that loses every target equals the top bit alone
-    and wipes the row out.  forward[u * k + t] is the row that assigning t
-    to u ANDs in: the hom row of t for each other vertex, with the top bit
-    kept, and 0 for u.  Pending rows wait on a LIFO stack of chunks of one
-    depth each, and a step takes at most BATCH_CHILDREN // k rows so it
-    expands at most BATCH_CHILDREN children.
+    and wipes the row out, and a row of zeros is a complete assignment.
+    forward[u * k + t] is the row that assigning t to u ANDs in: the hom row
+    of t for each other vertex, with the top bit kept, and 0 for u.
+
+    Pending rows wait on a LIFO stack of chunks, front row on top, in
+    ListSearch's preorder.  A step takes the first BATCH_CHILDREN // k
+    pending rows, whatever their depths, each picking its own vertex, and
+    puts their children back on top in order, so it expands at most
+    BATCH_CHILDREN children.  It stops before the first complete row;
+    once that row is in front, every node ListSearch tries before its
+    first map has been expanded, and the row is that map.  The count then
+    runs over ListSearch's by the children each step on the row's path
+    made after the path's child, which ListSearch never tries; a chunk
+    keeps its step's record (the taken rows' sources, picked vertex and
+    target list, and which children were kept) to trace that path back.
     """
     k, n = len(rows), g.n
+    if n == 0:
+        return SearchResult(SAT, (), 0, 0)
     dtype = _batch_dtype(k)
     free = dtype(1) << dtype(np.dtype(dtype).itemsize * 8 - 1)
     colors = np.full((n, n), RED, np.intp)
@@ -209,28 +231,82 @@ def _bitset_search(
     targets = np.arange(k, dtype=dtype)
     cap = BATCH_CHILDREN // max(k, 1)
     nodes = depth = 0
-    stack = [(0, np.full((1, n), free | dtype((1 << k) - 1), dtype))]
+    # (rows, record of the step that made them, index of rows[0] among its kept children)
+    stack: list[tuple[np.ndarray, tuple | None, int]] = [
+        (np.full((1, n), free | dtype((1 << k) - 1), dtype), None, 0)
+    ]
     while stack:
-        level, doms = stack.pop()
-        if len(doms) > cap:
-            stack.append((level, doms[:-cap]))
-            doms = doms[-cap:]
-        if level == n:
-            return SAT, nodes, depth
-        depth = max(depth, level)
+        parts, sources, need = [], [], cap
+        while need and stack:
+            doms, record, start = stack.pop()
+            if len(doms) > need:
+                stack.append((doms[need:], record, start + need))
+                doms = doms[:need]
+            parts.append(doms)
+            sources.append((record, start, len(doms)))
+            need -= len(doms)
+        doms = parts[0] if len(parts) == 1 else np.concatenate(parts)
         counts = np.bitwise_count(doms)
         counts -= 1  # a free list counts its targets, an assigned vertex wraps to 255
         u = counts.argmin(1)
         values = doms[np.arange(len(doms)), u]
+        if not values.all():
+            first = int(values.argmin())  # the first complete row
+            if first == 0:
+                record, start, _ = sources[0]
+                psi, unvisited = _trace_back(record, start, targets, n)
+                return SearchResult(SAT, psi, nodes - unvisited, n - 1)
+            _put_back(stack, sources, doms, first)
+            doms, u, values = doms[:first], u[:first], values[:first]
+        depth = max(depth, n - np.count_nonzero(doms[0]))  # the front row is the deepest
         parent, t = np.nonzero(values[:, None] >> targets & 1)
         nodes += len(parent)
         if limit is not None and nodes > limit:
-            return UNKNOWN, nodes, depth
-        child = doms[parent] & forward[u[parent] * k + t]
-        child = child[(child != free).all(1)]
+            return SearchResult(UNKNOWN, None, nodes, depth)
+        child = doms[parent]
+        child &= forward[u[parent] * k + t]
+        keep = (child != free).all(1)
+        child = child[keep]
         if len(child):
-            stack.append((level + 1, child))
-    return UNSAT, nodes, depth
+            stack.append((child, (sources, values, u, keep), 0))
+    return SearchResult(UNSAT, None, nodes, depth)
+
+
+def _put_back(stack: list, sources: list, doms: np.ndarray, first: int) -> None:
+    """Return the taken rows from index first on to the stack, and cut
+    sources to the rows before it."""
+    end = len(doms)
+    while end > first:
+        record, start, count = sources.pop()
+        begin = end - count
+        cut = max(first, begin)
+        stack.append((doms[cut:end], record, start + cut - begin))
+        if cut > begin:
+            sources.append((record, start, cut - begin))
+        end = begin
+
+
+def _trace_back(
+    record: tuple | None, index: int, targets: np.ndarray, n: int
+) -> tuple[tuple[int, ...], int]:
+    """The map read back from kept child index of record's step to the
+    root, and how many children the steps on that path made after the
+    path's child: ListSearch never tries those."""
+    psi = [0] * n
+    unvisited = 0
+    while record is not None:
+        sources, values, u, keep = record
+        parent, t = np.nonzero(values[:, None] >> targets & 1)
+        i = int(np.flatnonzero(keep)[index])
+        unvisited += len(parent) - 1 - i
+        row = int(parent[i])
+        psi[u[row]] = int(t[i])
+        for record, start, count in sources:
+            if row < count:
+                index = start + row
+                break
+            row -= count
+    return tuple(psi), unvisited
 
 
 def brute_force_has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:

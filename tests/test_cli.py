@@ -307,6 +307,25 @@ class TestMalformedInputs:
         assert needle in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_non_ascii_input_names_line_and_column(self, workdir):
+        """A byte outside ASCII reaches the parser, which names where it is,
+        whether it decodes as UTF-8 or not."""
+        col3 = str(workdir / "col3.mat")
+        for data, command, needle in [
+            ("2\n0é\n00\n".encode(), ("check-friendly", "--matrix"),
+             "bad entry 'é' (line 2, column 2)"),
+            (b"2\n0\xe9\n00\n", ("check-friendly", "--matrix"),
+             "(line 2, column 2)"),
+            ("2 1\n0 é\n".encode(), ("solve", "--type", col3, "--graph"),
+             "bad edge '0 é' (line 2)"),
+        ]:
+            path = workdir / "bad.input"
+            path.write_bytes(data)
+            res = run_cli(*command, str(path))
+            assert res.returncode == 2
+            assert needle in res.stderr
+            assert "Traceback" not in res.stderr
+
     def test_unallocatable_type_is_exit_2(self, tmp_path):
         """2e7 vertices need a 364 TiB pair table, more than any address
         space holds: an input error, not a property failure."""

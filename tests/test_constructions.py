@@ -31,7 +31,7 @@ from matpart.constructions import (
     restricted_placement_unsat,
 )
 from matpart.randtypes import RandomSpec, sample_type
-from matpart.solver import brute_force_has_embedding, find_embedding
+from matpart.solver import brute_force_has_embedding, find_embedding, is_minimal_obstruction
 from matpart.textio import serialize_obstruction_instance, serialize_reduction_instance
 
 
@@ -104,6 +104,24 @@ class TestObstructionGraph:
         assert f"\n{inst.m}\n" in text
         for label in inst.labels:
             assert f"{label}\n" in text
+
+
+class TestBarePatternGadget:
+    """The gadget built on the six-vertex pattern itself, as host and as
+    sigma: the complete solver decides it with no random host and no
+    restricted placements."""
+
+    def test_minimal_obstruction_from_m_4(self):
+        for m in range(4, 13):
+            inst = identity_instance(m)
+            assert is_minimal_obstruction(inst.graph, inst.tau), m
+
+    def test_embeds_below_m_4(self):
+        for m in (1, 2, 3):
+            inst = identity_instance(m)
+            result = find_embedding(inst.graph, inst.tau)
+            assert result.found, m
+            assert is_embedding(inst.graph, inst.tau, result.map)
 
 
 class TestBrokenPathEmbedding:

@@ -29,6 +29,7 @@ from matpart.model import (
 )
 from matpart.solver import (
     BATCH_BUDGET,
+    BATCH_CHILDREN,
     MAX_BATCH_BYTES,
     MAX_BATCH_TARGETS,
     SAT,
@@ -40,6 +41,7 @@ from matpart.solver import (
     _batch_bytes,
     _bitset_search,
     _hom_rows,
+    _list_search,
     are_isomorphic,
     brute_force_has_embedding,
     canonical_code,
@@ -177,14 +179,32 @@ def batched(g, tau, limit=None):
     return _bitset_search(g, _hom_rows(tau), limit)
 
 
-def pool_unsat_instances(per_cell):
-    pool = json.loads(
+def gadget_pool():
+    return json.loads(
         (Path(__file__).resolve().parent.parent / "bench" / "gadget_pool.json").read_text()
-    )
-    for cell, seeds in pool["cells"].items():
+    )["cells"]
+
+
+def pool_unsat_instances(per_cell):
+    for cell, seeds in gadget_pool().items():
         n, m = map(int, cell.split(","))
         for seed in seeds["unsat"][:per_cell]:
             yield build_planted_obstruction(n, m, seed)
+
+
+def pool_sat_instances(per_cell):
+    """The first per_cell satisfiable gadgets of each pool cell whose
+    ListSearch run outlasts BATCH_BUDGET, so find_embedding batches them."""
+    for cell, seeds in gadget_pool().items():
+        n, m = map(int, cell.split(","))
+        found = 0
+        for seed in seeds["sat"]:
+            inst = build_planted_obstruction(n, m, seed)
+            if list_search(inst.graph, inst.tau).nodes > BATCH_BUDGET:
+                yield inst
+                found += 1
+                if found == per_cell:
+                    break
 
 
 def tripartite_type(k):
@@ -198,26 +218,60 @@ def tripartite_type(k):
 
 
 class TestBatchedSearch:
-    """The batched core expands ListSearch's tree, so a proof of
-    non-embedding reports ListSearch's node count and depth; find_embedding
-    reports exactly what ListSearch alone reports."""
+    """The batched core expands ListSearch's tree in ListSearch's order, so
+    it reports ListSearch's map, node count and depth on SAT and UNSAT;
+    find_embedding reports exactly what ListSearch alone reports."""
 
     def test_pool_proofs(self, monkeypatch):
-        calls = []
+        calls, limits = [], []
 
         def counted(*args):
             calls.append(args)
             return _bitset_search(*args)
 
+        def list_search_limit(relation, rows, limit):
+            limits.append(limit)
+            return _list_search(relation, rows, limit)
+
         monkeypatch.setattr("matpart.solver._bitset_search", counted)
-        instances = list(pool_unsat_instances(2))
-        for inst in instances:
+        monkeypatch.setattr("matpart.solver._list_search", list_search_limit)
+        cases = [(UNSAT, inst) for inst in pool_unsat_instances(2)]
+        cases += [(SAT, inst) for inst in pool_sat_instances(2)]
+        assert len(cases) == 4 * len(gadget_pool())
+        for status, inst in cases:
             expected = list_search(inst.graph, inst.tau)
-            assert expected.status == UNSAT and expected.nodes > BATCH_BUDGET
-            assert batched(inst.graph, inst.tau) == (UNSAT, expected.nodes, expected.depth)
+            assert expected.status == status and expected.nodes > BATCH_BUDGET
+            assert batched(inst.graph, inst.tau) == expected
             assert find_embedding(inst.graph, inst.tau) == expected
-        # every pool proof fits the byte bound, so find_embedding decided it
-        assert len(calls) == len(instances)
+        # every pool search fits the byte bound, so the batched core decided
+        # it, and ListSearch ran only for the budget
+        assert len(calls) == len(cases)
+        assert limits == [BATCH_BUDGET] * len(cases)
+
+    def test_memory_within_batch_bytes(self):
+        """Pending rows keep ListSearch's preorder, so their depths never
+        rise from front to back, and each step's children are all the rows
+        deeper than its last taken row: at most BATCH_CHILDREN rows of each
+        depth wait at once.  In the tripartite tree below, K4 comes after
+        two isolated vertices, so its first three depths have 20 children
+        per node and its steps run full."""
+
+        def unsat_peak(g, tau):
+            rows = _hom_rows(tau)
+            tracemalloc.start()
+            try:
+                result = _bitset_search(g, rows, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.status == UNSAT
+            assert peak < _batch_bytes(g.n, tau.n)
+            return result.nodes
+
+        for inst in pool_unsat_instances(2):
+            unsat_peak(inst.graph, inst.tau)
+        wide = SimpleGraph.from_edges(6, [(u + 2, v + 2) for u, v in vertex_pairs(4)])
+        assert unsat_peak(wide, tripartite_type(20)) > 100 * BATCH_CHILDREN
 
     def test_large_graph_stays_on_list_search(self, monkeypatch):
         """A 1,000-vertex path takes ListSearch about 1,000 nodes, but the
@@ -248,10 +302,10 @@ class TestBatchedSearch:
         for limit in (1, BATCH_BUDGET, BATCH_BUDGET + 1, tree - 1, tree, tree + 1):
             expected = list_search(inst.graph, inst.tau, limit)
             assert expected.status == (UNSAT if limit >= tree else UNKNOWN)
-            status, nodes, depth = batched(inst.graph, inst.tau, limit)
-            assert status == expected.status
-            if status == UNSAT:
-                assert (nodes, depth) == (expected.nodes, expected.depth)
+            result = batched(inst.graph, inst.tau, limit)
+            assert result.status == expected.status
+            if result.status == UNSAT:
+                assert result == expected
             assert find_embedding(inst.graph, inst.tau, SolverConfig(node_limit=limit)) == expected
 
     @pytest.mark.parametrize("k", [15, 16, 31, 32, 63, 64])
@@ -264,9 +318,10 @@ class TestBatchedSearch:
         assert expected.status == UNSAT and expected.nodes > BATCH_BUDGET
         assert find_embedding(g, tau) == expected
         if k <= MAX_BATCH_TARGETS:
-            assert batched(g, tau) == (UNSAT, expected.nodes, expected.depth)
+            assert batched(g, tau) == expected
             sat = SimpleGraph.from_edges(5, [(u, v) for u, v in vertex_pairs(3)])
-            assert batched(sat, tau)[0] == SAT
+            result = batched(sat, tau)
+            assert result.status == SAT and result == list_search(sat, tau)
         else:
             with pytest.raises(ValueError, match="at most 63 targets"):
                 batched(g, tau)
@@ -280,7 +335,7 @@ class TestBatchedSearch:
             (SimpleGraph.complete(2), TypeGraph((), ())),
         ]:
             expected = list_search(g, tau)
-            assert batched(g, tau) == (expected.status, expected.nodes, expected.depth)
+            assert batched(g, tau) == expected
             assert find_embedding(g, tau) == expected
 
     def test_oracle_agreement_property(self):
@@ -305,11 +360,9 @@ class TestBatchedSearch:
             tau = TypeGraph(
                 draw_tuple((RED, BLUE), nt), draw_tuple((RED, BLUE, GREEN), nt * (nt - 1) // 2)
             )
-            status, nodes, depth = batched(g, tau)
-            assert status == (SAT if brute_force_has_embedding(g, tau) else UNSAT)
-            if status == UNSAT:
-                expected = list_search(g, tau)
-                assert (nodes, depth) == (expected.nodes, expected.depth)
+            result = batched(g, tau)
+            assert result.status == (SAT if brute_force_has_embedding(g, tau) else UNSAT)
+            assert result == list_search(g, tau)
 
         check()
 
