@@ -15,9 +15,15 @@ the same tree per numpy call, in the same preorder, so it reaches the same
 first map or the same proof of non-embedding and gives the SearchResult
 ListSearch alone would give.  Searches longer than BATCH_BUDGET nodes go to
 the batched core; only one that passes the caller's node limit there runs
-ListSearch again, for the node count and depth at the limit.  The batched
-core keeps a row of n words per node, so only graphs whose worst case fits
-in MAX_BATCH_BYTES use it; larger graphs stay on ListSearch.
+ListSearch again, for the node count and depth at the limit.
+
+A node of the batched core is a row of n words, one per vertex of g: a
+free vertex's target list with a free mark, or an assigned vertex's one
+target bit, so a complete row is itself the map.  Beside the row goes one
+integer, the nodes its path's steps made after it, which ListSearch never
+tries; that is all the core keeps of the tree behind it.  Only graphs
+whose worst case of such rows fits in MAX_BATCH_BYTES use the core; larger
+graphs stay on ListSearch.
 
 Obstruction enumeration drops isomorphic duplicates by canonical_code, the
 least adjacency bitstring over all relabelings.  It is found exactly by a
@@ -170,9 +176,10 @@ def _batch_dtype(k: int) -> type[np.unsignedinteger]:
 
 def _batch_bytes(n: int, k: int) -> float:
     """Worst-case bytes of _bitset_search on n vertices and k targets: the
-    forward table of n * k rows, n children arrays of pending rows and four
-    arrays the size of one step's children, each array up to BATCH_CHILDREN
-    rows of n words.  Infinite for more than MAX_BATCH_TARGETS targets.
+    forward table of n * k rows of n words, then n children arrays of
+    pending rows and four arrays the size of one step's children, each
+    array up to BATCH_CHILDREN rows of n words and an 8-byte node offset.
+    Infinite for more than MAX_BATCH_TARGETS targets.
 
     Pending rows keep preorder, so their depths never rise from front to
     back, and a step's children are all the pending rows deeper than its
@@ -181,7 +188,7 @@ def _batch_bytes(n: int, k: int) -> float:
     if k > MAX_BATCH_TARGETS:
         return float("inf")
     itemsize = np.dtype(_batch_dtype(k)).itemsize
-    return n * (n * k + (n + 4) * BATCH_CHILDREN) * itemsize
+    return n * n * k * itemsize + (n + 4) * BATCH_CHILDREN * (n * itemsize + 8)
 
 
 def _bitset_search(
@@ -196,24 +203,27 @@ def _bitset_search(
     batch of nodes at once; the node count and depth ListSearch would
     reach at the limit are not known here.
 
-    A search node is a row of target lists, one integer per vertex of g.  A
-    free vertex carries its targets plus the top bit; an assigned vertex is
-    0, so a target list that loses every target equals the top bit alone
-    and wipes the row out, and a row of zeros is a complete assignment.
-    forward[u * k + t] is the row that assigning t to u ANDs in: the hom row
-    of t for each other vertex, with the top bit kept, and 0 for u.
+    A search node is a row of n words, one per vertex of g.  A free vertex
+    carries its target list plus the top bit, so a list that loses every
+    target equals the top bit alone and wipes the row out; an assigned
+    vertex carries 1 << t, its target, without the top bit.  A row with no
+    top bit left is a complete assignment, and the map.
+    forward[u, t] is the row that assigning t to u ANDs in: the hom row of
+    t for each other vertex, with the top bit kept, and 1 << t for u.
+    Hom rows are symmetric (s joins t where t joins s), so the word of an
+    assigned vertex keeps its bit through every later AND.
 
     Pending rows wait on a LIFO stack of chunks, front row on top, in
     ListSearch's preorder.  A step takes the first BATCH_CHILDREN // k
     pending rows, whatever their depths, each picking its own vertex, and
     puts their children back on top in order, so it expands at most
-    BATCH_CHILDREN children.  It stops before the first complete row;
-    once that row is in front, every node ListSearch tries before its
-    first map has been expanded, and the row is that map.  The count then
-    runs over ListSearch's by the children each step on the row's path
-    made after the path's child, which ListSearch never tries; a chunk
-    keeps its step's record (the taken rows' sources, picked vertex and
-    target list, and which children were kept) to trace that path back.
+    BATCH_CHILDREN children.  The depths of pending rows thus never rise
+    from front to back, so a complete row, the deepest there is, is found
+    in front, and every node ListSearch tries before its first map has
+    been expanded.  The count then runs over ListSearch's by the children
+    each step on the row's path made after the path's child, which
+    ListSearch never tries, so each pending row carries that number beside
+    it and the SAT count subtracts it.
     """
     k, n = len(rows), g.n
     if n == 0:
@@ -223,90 +233,54 @@ def _bitset_search(
     colors = np.full((n, n), RED, np.intp)
     for u, v in g.edges:
         colors[u, v] = colors[v, u] = BLUE
+    bits = np.left_shift(dtype(1), np.arange(k, dtype=dtype))
     forward = (np.array(rows, dtype=dtype).reshape(k, 3) | free)[
         np.arange(k)[:, None], colors[:, None, :]
     ]
-    forward[np.arange(n), :, np.arange(n)] = 0
-    forward = forward.reshape(n * k, n)
-    targets = np.arange(k, dtype=dtype)
+    forward[np.arange(n), :, np.arange(n)] = bits
     cap = BATCH_CHILDREN // max(k, 1)
+    index = np.arange(BATCH_CHILDREN)  # indexes a step's rows and its children
     nodes = depth = 0
-    # (rows, record of the step that made them, index of rows[0] among its kept children)
-    stack: list[tuple[np.ndarray, tuple | None, int]] = [
-        (np.full((1, n), free | dtype((1 << k) - 1), dtype), None, 0)
+    # (rows, the nodes made after each row by the steps on its path)
+    stack: list[tuple[np.ndarray, np.ndarray]] = [
+        (np.full((1, n), free | dtype((1 << k) - 1), dtype), np.zeros(1, np.int64))
     ]
     while stack:
-        parts, sources, need = [], [], cap
+        parts, need = [], cap
         while need and stack:
-            doms, record, start = stack.pop()
+            doms, after = stack.pop()
             if len(doms) > need:
-                stack.append((doms[need:], record, start + need))
-                doms = doms[:need]
-            parts.append(doms)
-            sources.append((record, start, len(doms)))
+                stack.append((doms[need:], after[need:]))
+                doms, after = doms[:need], after[:need]
+            parts.append((doms, after))
             need -= len(doms)
-        doms = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(parts) == 1:
+            doms, after = parts[0]
+        else:
+            doms, after = map(np.concatenate, zip(*parts))
+        assigned = np.count_nonzero(doms[0] < free)  # the front row is the deepest
+        if assigned == n:
+            psi = tuple(int(w).bit_length() - 1 for w in doms[0])
+            return SearchResult(SAT, psi, nodes - int(after[0]), n - 1)
+        depth = max(depth, assigned)
         counts = np.bitwise_count(doms)
-        counts -= 1  # a free list counts its targets, an assigned vertex wraps to 255
+        counts -= 2  # a free list counts its targets less one, an assigned vertex wraps to 255
         u = counts.argmin(1)
-        values = doms[np.arange(len(doms)), u]
-        if not values.all():
-            first = int(values.argmin())  # the first complete row
-            if first == 0:
-                record, start, _ = sources[0]
-                psi, unvisited = _trace_back(record, start, targets, n)
-                return SearchResult(SAT, psi, nodes - unvisited, n - 1)
-            _put_back(stack, sources, doms, first)
-            doms, u, values = doms[:first], u[:first], values[:first]
-        depth = max(depth, n - np.count_nonzero(doms[0]))  # the front row is the deepest
-        parent, t = np.nonzero(values[:, None] >> targets & 1)
-        nodes += len(parent)
+        values = doms[index[: len(doms)], u]
+        parent, t = np.nonzero((values[:, None] & bits) != 0)  # nonzero is faster on bools
+        made = len(parent)
+        nodes += made
         if limit is not None and nodes > limit:
             return SearchResult(UNKNOWN, None, nodes, depth)
         child = doms[parent]
-        child &= forward[u[parent] * k + t]
+        child &= forward[u[parent], t]
         keep = (child != free).all(1)
         child = child[keep]
-        if len(child):
-            stack.append((child, (sources, values, u, keep), 0))
+        if len(child):  # child i's offset is its parent's plus made - 1 - i
+            later = after[parent]
+            later += index[made - 1 :: -1]
+            stack.append((child, later[keep]))
     return SearchResult(UNSAT, None, nodes, depth)
-
-
-def _put_back(stack: list, sources: list, doms: np.ndarray, first: int) -> None:
-    """Return the taken rows from index first on to the stack, and cut
-    sources to the rows before it."""
-    end = len(doms)
-    while end > first:
-        record, start, count = sources.pop()
-        begin = end - count
-        cut = max(first, begin)
-        stack.append((doms[cut:end], record, start + cut - begin))
-        if cut > begin:
-            sources.append((record, start, cut - begin))
-        end = begin
-
-
-def _trace_back(
-    record: tuple | None, index: int, targets: np.ndarray, n: int
-) -> tuple[tuple[int, ...], int]:
-    """The map read back from kept child index of record's step to the
-    root, and how many children the steps on that path made after the
-    path's child: ListSearch never tries those."""
-    psi = [0] * n
-    unvisited = 0
-    while record is not None:
-        sources, values, u, keep = record
-        parent, t = np.nonzero(values[:, None] >> targets & 1)
-        i = int(np.flatnonzero(keep)[index])
-        unvisited += len(parent) - 1 - i
-        row = int(parent[i])
-        psi[u[row]] = int(t[i])
-        for record, start, count in sources:
-            if row < count:
-                index = start + row
-                break
-            row -= count
-    return tuple(psi), unvisited
 
 
 def brute_force_has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:
@@ -528,9 +502,15 @@ class FixedPointReport:
 
 
 def min_fixed_points(tau: TypeGraph, alpha: Fraction | float) -> FixedPointReport:
-    """Scan every subtype with at least alpha * |V(tau)| vertices and every
-    edge-homomorphism from it into tau; return the witness with the fewest
-    fixed points (first found in lexicographic scan order on ties)."""
+    """The witness with the fewest fixed points among every subtype with at
+    least alpha * |V(tau)| vertices and every edge-homomorphism from it into
+    tau (first found in (size, vertices, map) order on ties).
+
+    Only the subtypes of the least such size kmin are scanned.  An
+    edge-homomorphism from a larger subtype restricts to one from each of
+    its kmin-vertex subtypes, with no more fixed points, so the least count
+    is reached at size kmin, and in the full scan, which replaces its best
+    only on a strict improvement, it is first reached there too."""
     alpha = Fraction(alpha).limit_denominator(10**6) if not isinstance(alpha, Fraction) else alpha
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
@@ -544,13 +524,10 @@ def min_fixed_points(tau: TypeGraph, alpha: Fraction | float) -> FixedPointRepor
         kmin += 1
 
     best: FixedPointReport | None = None
-    for size in range(kmin, n + 1):
-        for vertices in combinations(range(n), size):
-            for mapping in enumerate_edge_homomorphisms(subtype(tau, vertices), tau):
-                fixed = sum(1 for a, t in zip(vertices, mapping) if a == t)
-                if best is None or fixed < best.fixed_count:
-                    best = FixedPointReport(
-                        vertices, mapping, fixed, alpha, Fraction(fixed, n)
-                    )
+    for vertices in combinations(range(n), kmin):
+        for mapping in enumerate_edge_homomorphisms(subtype(tau, vertices), tau):
+            fixed = sum(1 for a, t in zip(vertices, mapping) if a == t)
+            if best is None or fixed < best.fixed_count:
+                best = FixedPointReport(vertices, mapping, fixed, alpha, Fraction(fixed, n))
     assert best is not None  # kmin <= n guarantees at least the identity scan
     return best

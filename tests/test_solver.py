@@ -308,6 +308,25 @@ class TestBatchedSearch:
                 assert result == expected
             assert find_embedding(inst.graph, inst.tau, SolverConfig(node_limit=limit)) == expected
 
+    @pytest.mark.parametrize("children", [7, 20, 100])
+    def test_steps_across_chunks(self, monkeypatch, children):
+        """With a few children per step, a step takes rows from several
+        chunks and depths and splits a chunk, on trees small enough to
+        check against ListSearch by the hundred."""
+        monkeypatch.setattr("matpart.solver.BATCH_CHILDREN", children)
+        rng = random.Random(children)
+        statuses = set()
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            tau = random_type(rng, rng.randint(0, 7))
+            expected = list_search(g, tau)
+            assert batched(g, tau) == expected
+            statuses.add(expected.status)
+            limit = rng.randint(1, expected.nodes + 1)
+            limited = batched(g, tau, limit)
+            assert limited.status == UNKNOWN or limited == list_search(g, tau, limit)
+        assert statuses == {SAT, UNSAT}
+
     @pytest.mark.parametrize("k", [15, 16, 31, 32, 63, 64])
     def test_word_size_boundaries(self, k):
         """15, 31 and 63 targets fill a 16-, 32- or 64-bit word beside the
@@ -734,7 +753,7 @@ class TestMinFixedPoints:
     def test_matches_brute_force_scan(self):
         rng = random.Random(9)
         for _ in range(60):
-            tau = random_type(rng, rng.randint(1, 4))
+            tau = random_type(rng, rng.randint(1, 5))
             alpha = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)))
             assert min_fixed_points(tau, alpha) == brute_force_min_fixed_points(tau, alpha)
 
