@@ -18,19 +18,15 @@ from .model import (
     block_row_distinctness,
     coloring_matrix,
     common_neighborhood,
-    compose,
     find_subtype_copy,
-    homomorphism_matrix,
     is_edge_homomorphism,
     is_embedding,
     is_friendly,
     is_split_graph,
-    is_type_homomorphism,
     matrix_from_type,
     rho_obstruction_family,
     rho_three_coloring,
     subtype,
-    subtype_copy,
     type_from_matrix,
     type_is_friendly,
 )
@@ -40,11 +36,9 @@ from .solver import (
     SolverConfig,
     brute_force_has_embedding,
     canonical_code,
-    canonical_graph,
     enumerate_edge_homomorphisms,
     enumerate_minimal_obstructions,
     find_embedding,
-    has_embedding,
     is_minimal_obstruction,
     min_fixed_points,
 )

@@ -19,6 +19,7 @@ from .model import (
     is_embedding,
     pattern_by_token,
     rho_obstruction_family,
+    vertex_pairs,
 )
 from .randtypes import RandomSpec, choose_plant_positions, plant_subtype, sample_type
 
@@ -87,11 +88,7 @@ def obstruction_graph(
     x = [s + i for i in range(m)]
     y = [s + m + i for i in range(m)]
 
-    edges: list[tuple[int, int]] = []
-    for a_pos in range(s):
-        for b_pos in range(a_pos + 1, s):
-            if tau.edge(sigma[a_pos], sigma[b_pos]) == BLUE:
-                edges.append((a_pos, b_pos))
+    edges = _prime_edges(tau, sigma, 0)
     edges.extend((y[i], y[j]) for i in range(m) for j in range(i + 1, m))
     for i in range(m):
         edges.append((x[i], y[i]))
@@ -111,6 +108,17 @@ def obstruction_graph(
         + tuple(f"y {i}" for i in range(1, m + 1))
     )
     return ObstructionInstance(tau, rho_copy, m, sigma, graph, labels)
+
+
+def _prime_edges(tau: TypeGraph, sigma: Sequence[int], offset: int) -> list[tuple[int, int]]:
+    """The primed blue-edge graph on sigma, the prime of sigma[k] numbered
+    offset + k: two primes are joined iff their sigma vertices form a blue
+    edge of tau.  Pairs come in lexicographic order."""
+    return [
+        (offset + k, offset + l)
+        for k, l in vertex_pairs(len(sigma))
+        if tau.edge(sigma[k], sigma[l]) == BLUE
+    ]
 
 
 def broken_path_embedding(instance: ObstructionInstance, i: int) -> tuple[int, ...]:
@@ -151,14 +159,20 @@ def restricted_placement_unsat(instance: ObstructionInstance) -> bool:
     return True
 
 
+def plant_pattern(
+    tau: TypeGraph, token: str, seed: int
+) -> tuple[TypeGraph, SubtypeCopy]:
+    """Plant the pattern named by a PATTERNS token at seeded positions."""
+    pattern = pattern_by_token(token)
+    position = choose_plant_positions(tau, pattern, seed)
+    planted = plant_subtype(tau, pattern, position)
+    return planted, SubtypeCopy(pattern, planted, position)
+
+
 def build_planted_obstruction(n: int, m: int, seed: int) -> ObstructionInstance:
     """Sample a friendly type, plant the family pattern at seeded positions,
     and build the gadget instance."""
-    pattern = rho_obstruction_family()
-    base = sample_type(RandomSpec(n, "friendly", seed))
-    position = choose_plant_positions(base, pattern, seed)
-    tau = plant_subtype(base, pattern, position)
-    copy = SubtypeCopy(pattern, tau, position)
+    tau, copy = plant_pattern(sample_type(RandomSpec(n, "friendly", seed)), "thm1", seed)
     return obstruction_graph(tau, copy, m)
 
 
@@ -199,10 +213,7 @@ def reduction_graph(
     for k, v in enumerate(sigma):
         if any(tau.edge(v, h) == BLUE for h in rho_copy.image):
             edges.extend((u, g.n + k) for u in range(g.n))
-    for k in range(len(sigma)):
-        for l in range(k + 1, len(sigma)):
-            if tau.edge(sigma[k], sigma[l]) == BLUE:
-                edges.append((g.n + k, g.n + l))
+    edges.extend(_prime_edges(tau, sigma, g.n))
     out = SimpleGraph.from_edges(g.n + len(sigma), edges)
     labels = tuple(f"original {u}" for u in range(g.n)) + tuple(
         f"prime {v}" for v in sigma
@@ -221,14 +232,3 @@ def extend_embedding(
         raise ValueError("psi is not an embedding of the input graph into the pattern")
     through = tuple(instance.rho_copy.image[t] for t in psi)
     return through + instance.sigma
-
-
-def plant_pattern(
-    tau: TypeGraph, token: str, seed: int
-) -> tuple[TypeGraph, SubtypeCopy]:
-    """Plant the pattern named by a PATTERNS token at seeded positions."""
-    pattern = pattern_by_token(token)
-    position = choose_plant_positions(tau, pattern, seed)
-    planted = plant_subtype(tau, pattern, position)
-    return planted, SubtypeCopy(pattern, planted, position)
-

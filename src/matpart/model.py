@@ -69,7 +69,7 @@ class PartitionMatrix(_Table):
     """Symmetric m x m table over {ZERO, ONE, STAR}, no STAR on the diagonal.
 
     Stored as a TypeGraph is, one bytes row per index, so a matrix and its
-    type share one tuple of rows; entries gives the rows as int tuples.
+    type share one tuple of rows.
     The constructor validates any square sequence of rows, reading each
     row by index (a mapping row by its values), and names the first fault.
     """
@@ -97,10 +97,6 @@ class PartitionMatrix(_Table):
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in self.rows)
 
 
 def _check_entries(i: int, row: Iterable) -> None:
@@ -398,16 +394,6 @@ def pattern_by_token(token: str) -> TypeGraph:
     return PATTERNS[token]()
 
 
-def homomorphism_matrix(h: SimpleGraph) -> PartitionMatrix:
-    """Matrix whose partition problem is homomorphism into h: * on edges, 0 elsewhere."""
-    n = h.n
-    rows = [
-        [STAR if i != j and h.has_edge(i, j) else ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    return PartitionMatrix.from_rows(rows)
-
-
 def is_friendly(mat: PartitionMatrix) -> bool:
     """False iff some 2x2 principal submatrix is [[0,*],[*,0]] or [[1,*],[*,1]]."""
     return _no_two_within_class(mat.rows)
@@ -466,12 +452,6 @@ def subtype(tau: TypeGraph, vertex_set: Iterable[int]) -> TypeGraph:
         if not 0 <= a < tau.n:
             raise ValueError(f"vertex {a} outside type")
     return TypeGraph._from_rows(bytes(tau.rows[a][b] for b in keep) for a in keep)
-
-
-def subtype_copy(tau: TypeGraph, vertex_set: Iterable[int]) -> SubtypeCopy:
-    """Subtype of tau on the set, packaged with its host-index translation."""
-    keep = tuple(sorted(set(vertex_set)))
-    return SubtypeCopy(subtype(tau, keep), tau, keep)
 
 
 def find_subtype_copy(host: TypeGraph, pattern: TypeGraph) -> SubtypeCopy | None:
@@ -618,29 +598,6 @@ def is_edge_homomorphism(
         if c != GREEN and rows[phi[v]][phi[w]] not in (c, GREEN):
             return False
     return True
-
-
-def is_type_homomorphism(
-    sigma: TypeGraph, tau: TypeGraph, phi: Sequence[int]
-) -> bool:
-    """Edge-homomorphism that preserves vertex colors and sends green edges
-    across green edges (never collapsing them): it keeps every diagonal
-    entry and every green entry of sigma, and a collapsed green edge would
-    land on a diagonal entry, which is never green."""
-    if not is_edge_homomorphism(sigma, tau, phi):
-        return False
-    rows = tau.rows
-    for v, row in enumerate(sigma.rows):
-        for w in range(v, sigma.n):
-            c = row[w]
-            if (v == w or c == GREEN) and rows[phi[v]][phi[w]] != c:
-                return False
-    return True
-
-
-def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    """Composition outer(inner(.)) of two vertex maps."""
-    return tuple(outer[x] for x in inner)
 
 
 # ---------------------------------------------------------------------------

@@ -304,16 +304,11 @@ def brute_force_has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:
         psi[k] += 1
 
 
-def has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:
-    """Complete search without node limit, reduced to a boolean."""
-    return find_embedding(g, tau).found
-
-
 def is_minimal_obstruction(g: SimpleGraph, tau: TypeGraph) -> bool:
     """g has no embedding into tau but every one-vertex-deleted subgraph does."""
-    if has_embedding(g, tau):
+    if find_embedding(g, tau).found:
         return False
-    return all(has_embedding(g.delete_vertex(v), tau) for v in range(g.n))
+    return all(find_embedding(g.delete_vertex(v), tau).found for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +402,6 @@ def graph_from_code(n: int, code: int) -> SimpleGraph:
     k = len(pairs)
     edges = [pairs[i] for i in range(k) if code >> (k - 1 - i) & 1]
     return SimpleGraph.from_edges(n, edges)
-
-
-def canonical_graph(g: SimpleGraph) -> SimpleGraph:
-    return graph_from_code(g.n, canonical_code(g))
-
-
-def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
-    return a.n == b.n and canonical_code(a) == canonical_code(b)
 
 
 # ---------------------------------------------------------------------------

@@ -769,6 +769,32 @@ class TestMonteCarlo:
         b = monte_carlo(prop, [10, 20], range(10))
         assert a == b
 
+    def test_lemma_parts_count_the_checker_verdicts(self):
+        """part i, ii and both count the sampled types whose
+        check_neighborhood_lemma report holds part i, part ii and both; at
+        n=150 the three counts differ, so each part is told apart."""
+        n, seeds = 150, range(20)
+        reports = [
+            check_neighborhood_lemma(
+                sample_type(RandomSpec(n, "friendly", s)),
+                "nsize",
+                mode="sampled",
+                samples=30,
+                seed=s,
+            )
+            for s in seeds
+        ]
+        expected = {
+            "i": sum(r.part_i_holds for r in reports),
+            "ii": sum(r.part_ii_holds for r in reports),
+            "both": sum(r.part_i_holds and r.part_ii_holds for r in reports),
+        }
+        assert len(set(expected.values())) == 3
+        for part, successes in expected.items():
+            prop = MCProperty(kind="lemma", lemma_id="nsize", part=part, tuple_samples=30)
+            (summary,) = monte_carlo(prop, [n], seeds)
+            assert summary.successes == successes
+
     def test_contains_rho_fraction_in_unit_interval(self):
         prop = MCProperty(kind="contains_rho", model="friendly", rho="thm1")
         (summary,) = monte_carlo(prop, [8], range(10))

@@ -18,6 +18,7 @@ from matpart.model import (
 from matpart.randtypes import RandomSpec, sample_type
 from matpart.textio import (
     ParseError,
+    parse_experiment_spec,
     parse_graph,
     parse_matrix,
     parse_scenario,
@@ -68,7 +69,7 @@ def reference_parse_matrix(text):
 
 
 def reference_serialize_matrix(mat):
-    body = "\n".join("".join(ENTRY_CHARS[e] for e in row) for row in mat.entries)
+    body = "\n".join("".join(ENTRY_CHARS[e] for e in row) for row in mat.rows)
     return f"{mat.m}\n{body}\n"
 
 
@@ -180,7 +181,7 @@ class TestTypeFileRoundTrip:
 class TestMatrixFormat:
     def test_two_coloring(self):
         mat = parse_matrix("2\n0*\n*0\n")
-        assert mat.entries == ((0, 2), (2, 0))
+        assert mat.rows == (b"\0\2", b"\2\0")
 
     def test_star_on_diagonal_rejected(self):
         with pytest.raises(ParseError, match="star on diagonal 0"):
@@ -283,6 +284,63 @@ set=b1,b2
     def test_bad_key(self):
         with pytest.raises(ParseError, match="unknown scenario key"):
             parse_scenario("model=general\ncandidate=red\nwibble=1\n")
+
+
+# (parser, text, the ParseError's whole message with its line)
+PARSE_ERRORS = [
+    (parse_graph, "a b\n", "bad header 'a b' (line 1)"),
+    (parse_graph, "3 -1\n", "negative count in header (line 1)"),
+    (parse_graph, "3 2\n0 1\n", "expected 2 edges, found 1 (line 2)"),
+    (parse_graph, "3 1\n0 1 2\n", 'edge line must be "u v" (line 2)'),
+    (parse_graph, "3 1\n0 1\n\n2\n", "trailing content after edges (line 4)"),
+    (parse_matrix, "3\n000\n000\n", "expected 3 rows, found 2 (line 3)"),
+    (parse_scenario, "model=general\ncandidate\n", "expected key=value, got 'candidate' (line 2)"),
+    (
+        parse_scenario,
+        "model=general\ncandidate=green\n",
+        "candidate must be red or blue, got 'green' (line 2)",
+    ),
+    (
+        parse_scenario,
+        "model=general\ncandidate=red\nvertex=r1\n",
+        "vertex must be <name>:<red|blue>, got 'r1' (line 3)",
+    ),
+    (
+        parse_scenario,
+        "model=general\ncandidate=red\nvertex=r1:red\nset=r1,,r1\n",
+        "bad set 'r1,,r1' (line 4)",
+    ),
+    (parse_scenario, "model=general\nvertex=r1:red\n", "missing candidate line (line 1)"),
+    (
+        parse_experiment_spec,
+        "property=block_rows\nn=5\nn=6\nseeds=3\n",
+        "duplicate key 'n' (line 3)",
+    ),
+    (
+        parse_experiment_spec,
+        "property=block_rows\nn=5\nseeds=3\ncolor=purple\n",
+        "bad color 'purple' (line 4)",
+    ),
+    (
+        parse_experiment_spec,
+        "property=block_rows\nn=5,0\nseeds=3\n",
+        "n values must be positive (line 2)",
+    ),
+    (parse_experiment_spec, "property=block_rows\nn=5\nseeds=5..4\n", "empty seed list (line 3)"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        PARSE_ERRORS,
+        ids=[f"{parse.__name__}-{k}" for k, (parse, _, _) in enumerate(PARSE_ERRORS)],
+    )
+    def test_message_and_line(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert f"(line {info.value.line})" in message
 
 
 class TestTypeFileFromRows:
