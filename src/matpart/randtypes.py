@@ -13,14 +13,15 @@ the seed, each member set made from the getrandbits calls that
 random.Random.sample would make for it (`_sample`).  The lemma checkers
 first draw (or enumerate) their tuples with the same generator calls, in
 the same order, as a one-tuple-at-a-time walk, and then evaluate them
-LEMMA_CHUNK at a time in array code: a chunk gathers the members' columns
-of the red/blue edge indicators, so it costs memory in proportion to
-vertices x chunk.  The chunks are bounded, rather than every tuple taken
-in one gather, because that gather grows with the sample count: at n=200
-one gather of 2000 nsize2 sets raised the peak memory by about 20 MB,
-while chunks of 128 stay within 1 MB.  Sizes are exact integer sums and
-popcounts, and the worst witnesses keep the first extremum, so reports do
-not depend on the chunk size.
+LEMMA_CHUNK at a time in array code on the type's red and blue rows packed
+as uint64 bitsets (`_bit_table`): a chunk ORs its members' rows together,
+and part ii of nsize2/nsize3 tries every extra vertex against the chunk,
+so it costs memory in proportion to vertices x chunk.  The chunks are
+bounded, rather than every tuple taken in one pass, because that pass
+grows with the sample count: at n=200 one pass over 2000 nsize2 sets
+raised the peak memory by about 20 MB, while chunks of 128 stay within
+1 MB.  Sizes are exact popcounts, and the worst witnesses keep the first
+extremum, so reports do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -194,23 +195,39 @@ class MembershipScenario:
     sets: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.model not in ("general", "friendly"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.candidate_color not in (RED, BLUE):
-            raise ValueError("candidate color must be red or blue")
-        names = [name for name, _ in self.vertices]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate constraint vertex names")
-        colors = dict(self.vertices)
-        for _, c in self.vertices:
-            if c not in (RED, BLUE):
-                raise ValueError("constraint vertex colors must be red or blue")
-        for s in self.sets:
-            for name in s:
-                if name not in colors:
-                    raise ValueError(f"set member {name!r} not declared")
-            if len(set(s)) != len(s):
-                raise ValueError("duplicate member inside a constraint set")
+        fault = _scenario_fault(self.model, self.candidate_color, self.vertices, self.sets)
+        if fault is not None:
+            raise ValueError(fault[2])
+
+
+def _scenario_fault(
+    model: str,
+    candidate_color: int,
+    vertices: Sequence[tuple[str, int]],
+    sets: Sequence[Sequence[str]],
+) -> tuple[str, int, str] | None:
+    """The first fault of a scenario's fields, as (field, k, message): the
+    field's name and, for "vertices" and "sets", the index of the entry at
+    fault (0 for "model" and "candidate").  None if there is none."""
+    if model not in ("general", "friendly"):
+        return "model", 0, f"unknown model {model!r}"
+    if candidate_color not in (RED, BLUE):
+        return "candidate", 0, "candidate color must be red or blue"
+    names: set[str] = set()
+    for k, (name, _) in enumerate(vertices):
+        if name in names:
+            return "vertices", k, "duplicate constraint vertex names"
+        names.add(name)
+    for k, (_, c) in enumerate(vertices):
+        if c not in (RED, BLUE):
+            return "vertices", k, "constraint vertex colors must be red or blue"
+    for k, s in enumerate(sets):
+        for name in s:
+            if name not in names:
+                return "sets", k, f"set member {name!r} not declared"
+        if len(set(s)) != len(s):
+            return "sets", k, "duplicate member inside a constraint set"
+    return None
 
 
 @dataclass(frozen=True)
@@ -365,6 +382,12 @@ def check_neighborhood_lemma(
     Tuples are evaluated LEMMA_CHUNK at a time; across chunks the first
     tuple with the smallest part-i size and the first with the largest
     part-ii size are kept, exactly as a tuple-by-tuple walk would.
+
+    Every evaluator counts on one packed table per type (`_bit_table`):
+    table[c, w, a] is uint64 word w of vertex a's row of colour c (0 red,
+    1 blue), one bit per vertex u in np.packbits' big-endian bit order
+    within each byte (see `_words`).  Sizes are popcounts of these words;
+    nothing is unpacked back to one bit per vertex.
     """
     if lemma_id not in LEMMA_THRESHOLDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
@@ -400,15 +423,14 @@ def check_neighborhood_lemma(
     else:
         tuples = _set_draws(*pools, samples, random.Random(f"{lemma_id}-{seed}"))
 
-    cmat = color_matrix(tau)
-    red, blue = cmat == RED, cmat == BLUE
+    table = _bit_table(tau)
     if lemma_id != "nsize":
-        evaluate = partial(_fixed_set_sizes, red, blue, _words(~blue), _words(~red))
+        evaluate = partial(_fixed_set_sizes, table)
     elif mode == "exhaustive":
-        all_pairs = _pair_masks(red, blue, *np.triu_indices(nv, 1))
-        evaluate = partial(_nsize_best_pair, all_pairs)
+        pairs = np.column_stack(np.triu_indices(nv, 1))
+        evaluate = partial(_nsize_best_pair, nv, _outside(table, pairs))
     else:
-        evaluate = partial(_nsize_drawn_pair, red, blue)
+        evaluate = partial(_nsize_drawn_pair, table)
 
     worst_i: tuple[int, ...] = ()
     worst_i_size = nv + 1
@@ -569,47 +591,57 @@ def _sample(rng: random.Random, population: Sequence, k: int) -> list:
     return result
 
 
-def _pair_masks(red: np.ndarray, blue: np.ndarray, a, b) -> np.ndarray:
-    """masks[u, k]: u lies in the common neighborhood of {a[k], b[k]}.
+def _bit_table(tau: TypeGraph) -> np.ndarray:
+    """The type's red and blue rows as bitsets: table[0] and table[1] are the
+    `_words` of the red and of the blue edge indicators, each with the
+    diagonal set, so bit u of table[c][:, a] is set when the edge ua has
+    colour c (red, blue) or when u = a.
 
-    `red`/`blue` mark the red/blue edges of the type.  u is excluded when
-    its edges to a[k] and b[k] are one red and one blue, and when it is
-    a[k] or b[k].
+    A set S then excludes from N(S) exactly the vertices whose red bit and
+    blue bit are both set in the OR of the members' rows: those that see a
+    red and a blue edge to S, and the members themselves.
     """
-    ra, ba, rb, bb = red[:, a], blue[:, a], red[:, b], blue[:, b]
-    masks = ~((ra & bb) | (ba & rb))
-    cols = np.arange(len(a))
-    masks[a, cols] = False
-    masks[b, cols] = False
-    return masks
+    cmat = color_matrix(tau)
+    own = np.eye(tau.n, dtype=bool)
+    return np.stack([_words((cmat == RED) | own), _words((cmat == BLUE) | own)])
 
 
-def _nsize_drawn_pair(red, blue, t):
+def _outside(table: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Bitsets of the vertices outside N(S) for every member set S along the
+    last axis of `sets`; words first, then the leading axes of `sets`."""
+    red, blue = np.bitwise_or.reduce(table[:, :, sets], axis=-1)
+    return red & blue
+
+
+def _sizes(nv: int, outside: np.ndarray) -> np.ndarray:
+    """Vertices not in the word-major bitsets `outside`, one count per column."""
+    return nv - np.bitwise_count(outside).sum(axis=0, dtype=np.intp)
+
+
+def _nsize_drawn_pair(table, t):
     """nsize sizes for drawn tuples t[k] = (r1, r2, b1, b2, v, w)."""
-    mask_r, mask_b, mask_vw = (
-        _pair_masks(red, blue, t[:, j], t[:, j + 1]) for j in (0, 2, 4)
-    )
-    mask4 = mask_r & mask_b
-    mask6 = mask4 & mask_vw
-    return t[:, :4], mask4.sum(axis=0), t, mask6.sum(axis=0)
+    outside = _outside(table, t.reshape(-1, 3, 2))
+    out4 = outside[..., 0] | outside[..., 1]
+    nv = table.shape[-1]
+    return t[:, :4], _sizes(nv, out4), t, _sizes(nv, out4 | outside[..., 2])
 
 
-def _nsize_best_pair(pair_masks, t):
+def _nsize_best_pair(nv, pair_outside, t):
     """nsize sizes for t[k] = (r1, r2, b1, b2); part ii takes the pair {v, w}
     (other than {r1, r2} and {b1, b2}) that keeps the most vertices, the
-    first in lexicographic pair order among ties."""
-    nv = len(pair_masks)
+    first in lexicographic pair order among ties.  `pair_outside` holds the
+    `_outside` bitsets of every pair in that order."""
     ir = _pair_positions(t[:, 0], t[:, 1], nv)
     ib = _pair_positions(t[:, 2], t[:, 3], nv)
-    mask4 = pair_masks[:, ir] & pair_masks[:, ib]
-    counts = pair_masks.T.astype(np.int32) @ mask4.astype(np.int32)  # integer, not BLAS
+    out4 = pair_outside[:, ir] | pair_outside[:, ib]
+    counts = _sizes(nv, out4[:, :, None] | pair_outside[:, None, :])
     cols = np.arange(len(t))
-    counts[ir, cols] = -1
-    counts[ib, cols] = -1
-    best = counts.argmax(axis=0)
+    counts[cols, ir] = -1
+    counts[cols, ib] = -1
+    best = counts.argmax(axis=1)
     v, w = np.triu_indices(nv, 1)
     witness_ii = np.column_stack([t, v[best], w[best]])
-    return t, mask4.sum(axis=0), witness_ii, counts[best, cols]
+    return t, _sizes(nv, out4), witness_ii, counts[cols, best]
 
 
 def _pair_positions(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -619,41 +651,37 @@ def _pair_positions(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 def _words(bits: np.ndarray) -> np.ndarray:
     """Rows of a boolean matrix as bitsets, word-major: out[w, i] holds
-    bits 64w .. 64w+63 of row i."""
+    bits 64w .. 64w+63 of row i, and the bits past the row width are 0.
+
+    The bits are laid out as np.packbits leaves them, in its default
+    big-endian bit order: bit u of a row is bit 7 - u % 8 of the row's byte
+    u // 8, and eight consecutive bytes make one word in native byte order,
+    so bit u is not bit u % 64 of its word.  Popcounts and bitwise
+    operations between words of this layout do not depend on that; reading
+    single bits back needs np.unpackbits' default order on the same bytes.
+    """
     rows, width = bits.shape
     packed = np.zeros((rows, -(-width // 64) * 8), dtype=np.uint8)
     packed[:, : (width + 7) // 8] = np.packbits(bits, axis=1)
     return packed.view(np.uint64).T.copy()
 
 
-def _fixed_set_sizes(red, blue, not_blue_words, not_red_words, sets):
+def _fixed_set_sizes(table, sets):
     """Sizes for member sets A = sets[k]; part ii ranges over all v outside A.
 
-    A vertex u outside A is in N(A) unless it saw both a red and a blue
-    edge to A.  Adding v keeps a red-only u when uv is not blue, a
-    blue-only u when uv is not red, and every u that saw neither; u = v
-    itself is then taken off again.  The first two counts are popcounts of
-    bitsets (`not_blue_words[:, v]` has bit u set when uv is not blue).
+    The OR of the members' rows gives the vertices that see a red and a
+    blue edge to A; adding v ORs in v's rows, so the part-ii size for v is
+    nv less the popcount of (red(A) | red(v)) & (blue(A) | blue(v)).
     """
-    nv, k = len(red), len(sets)
+    nv, k = table.shape[-1], len(sets)
+    red, blue = np.bitwise_or.reduce(table[:, :, sets], axis=-1)
+    counts = np.full((k, nv), nv, dtype=np.intp)
+    for set_red, set_blue, v_red, v_blue in zip(red, blue, *table):
+        counts -= np.bitwise_count((set_red[:, None] | v_red) & (set_blue[:, None] | v_blue))
     cols = np.arange(k)
-    outside = np.ones((nv, k), dtype=bool)
-    outside[sets, cols[:, None]] = False
-    saw_red = red[:, sets].any(axis=2) & outside
-    saw_blue = blue[:, sets].any(axis=2) & outside
-    member = outside & ~(saw_red & saw_blue)
-    counts = (member & ~saw_red & ~saw_blue).sum(axis=0)[:, None] - member.T
-    for red_only, blue_only, not_blue, not_red in zip(
-        _words((saw_red & ~saw_blue).T),
-        _words((saw_blue & ~saw_red).T),
-        not_blue_words,
-        not_red_words,
-    ):
-        counts += np.bitwise_count(red_only[:, None] & not_blue)
-        counts += np.bitwise_count(blue_only[:, None] & not_red)
-    counts[~outside.T] = -1
+    counts[cols[:, None], sets] = -1
     best = counts.argmax(axis=1)
-    return sets, member.sum(axis=0), np.column_stack([sets, best]), counts[cols, best]
+    return sets, _sizes(nv, red & blue), np.column_stack([sets, best]), counts[cols, best]
 
 
 def exhaustive_tuple_space(tau: TypeGraph, lemma_id: str) -> int:
@@ -702,20 +730,12 @@ class MCProperty:
     color: int = GREEN
 
     def __post_init__(self) -> None:
-        if self.kind not in MC_KINDS:
-            raise ValueError(f"unknown property kind {self.kind!r}")
-        if self.model not in ("general", "friendly"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.lemma_id not in LEMMA_THRESHOLDS:
-            raise ValueError(f"unknown lemma id {self.lemma_id!r}")
-        if self.lemma_mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown mode {self.lemma_mode!r}")
-        if self.tuple_samples < 1:
-            raise ValueError("tuple samples must be positive")
-        if self.part not in ("i", "ii", "both"):
-            raise ValueError(f"unknown part {self.part!r}")
-        if self.rho not in PATTERNS:
-            raise ValueError(f"unknown rho token {self.rho!r}")
+        fault = _property_fault(
+            self.kind, self.model, self.lemma_id, self.part, self.lemma_mode,
+            self.tuple_samples, self.rho,
+        )
+        if fault is not None:
+            raise ValueError(fault[1])
 
     def label(self) -> str:
         if self.kind == "lemma":
@@ -725,6 +745,34 @@ class MCProperty:
         if self.kind == "edge_frequency":
             return f"edge_frequency:{COLOR_NAMES[self.color]}"
         return self.kind
+
+
+def _property_fault(
+    kind: str,
+    model: str,
+    lemma_id: str,
+    part: str,
+    lemma_mode: str,
+    tuple_samples: int,
+    rho: str,
+) -> tuple[str, str] | None:
+    """The first invalid MCProperty field, as (field name, message); None
+    if every field is valid."""
+    if kind not in MC_KINDS:
+        return "kind", f"unknown property kind {kind!r}"
+    if model not in ("general", "friendly"):
+        return "model", f"unknown model {model!r}"
+    if lemma_id not in LEMMA_THRESHOLDS:
+        return "lemma_id", f"unknown lemma id {lemma_id!r}"
+    if lemma_mode not in ("exhaustive", "sampled"):
+        return "lemma_mode", f"unknown mode {lemma_mode!r}"
+    if tuple_samples < 1:
+        return "tuple_samples", "tuple samples must be positive"
+    if part not in ("i", "ii", "both"):
+        return "part", f"unknown part {part!r}"
+    if rho not in PATTERNS:
+        return "rho", f"unknown rho token {rho!r}"
+    return None
 
 
 @dataclass(frozen=True)

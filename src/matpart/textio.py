@@ -35,7 +35,7 @@ from .model import (
     _table_fault,
     type_from_matrix,
 )
-from .randtypes import MCProperty, MembershipScenario
+from .randtypes import MCProperty, MembershipScenario, _property_fault, _scenario_fault
 
 
 class ParseError(ValueError):
@@ -198,33 +198,40 @@ def parse_scenario(text: str) -> MembershipScenario:
     model = candidate = None
     vertices: list[tuple[str, int]] = []
     sets: list[tuple[str, ...]] = []
+    # each field's lines, in the entry order _scenario_fault indexes
+    lines: dict[str, list[int]] = {"model": [], "candidate": [], "vertices": [], "sets": []}
     for lineno, key, value in _key_values(text):
         if key == "model":
             model = value
+            lines["model"] = [lineno]
         elif key == "candidate":
             if _COLOR_INDEX.get(value) not in (RED, BLUE):
                 raise ParseError(f"candidate must be red or blue, got {value!r}", lineno)
             candidate = _COLOR_INDEX[value]
+            lines["candidate"] = [lineno]
         elif key == "vertex":
             parts = value.split(":")
             if len(parts) != 2 or _COLOR_INDEX.get(parts[1]) not in (RED, BLUE):
                 raise ParseError(f"vertex must be <name>:<red|blue>, got {value!r}", lineno)
             vertices.append((parts[0], _COLOR_INDEX[parts[1]]))
+            lines["vertices"].append(lineno)
         elif key == "set":
             members = tuple(name.strip() for name in value.split(","))
             if not members or any(not name for name in members):
                 raise ParseError(f"bad set {value!r}", lineno)
             sets.append(members)
+            lines["sets"].append(lineno)
         else:
             raise ParseError(f"unknown scenario key {key!r}", lineno)
     if model is None:
         raise ParseError("missing model line", 1)
     if candidate is None:
         raise ParseError("missing candidate line", 1)
-    try:
-        return MembershipScenario(model, candidate, tuple(vertices), tuple(sets))
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
+    fault = _scenario_fault(model, candidate, vertices, sets)
+    if fault is not None:
+        field, k, message = fault
+        raise ParseError(message, lines[field][k])
+    return MembershipScenario(model, candidate, tuple(vertices), tuple(sets))
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,18 @@ _EXPERIMENT_KEYS = (
     "property", "model", "lemma", "part", "mode", "n", "seeds", "threshold",
     "color", "rho",
 )
+
+
+# the spec key that sets each MCProperty field
+_PROPERTY_KEYS = {
+    "kind": "property",
+    "model": "model",
+    "lemma_id": "lemma",
+    "part": "part",
+    "lemma_mode": "mode",
+    "tuple_samples": "mode",
+    "rho": "rho",
+}
 
 
 def _parse_seed_field(text: str) -> tuple[int, ...]:
@@ -293,16 +312,20 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     color = fields.get("color", "green")
     if color not in _COLOR_INDEX:
         raise ParseError(f"bad color {color!r}", lines["color"])
-    prop = MCProperty(
-        kind=fields["property"],
-        model=fields.get("model", "friendly"),
-        lemma_id=fields.get("lemma", "nsize"),
-        part=fields.get("part", "i"),
-        lemma_mode=lemma_mode,
-        tuple_samples=tuple_samples,
-        rho=fields.get("rho", "thm1"),
-        color=_COLOR_INDEX[color],
-    )
+    chosen = {
+        "kind": fields["property"],
+        "model": fields.get("model", "friendly"),
+        "lemma_id": fields.get("lemma", "nsize"),
+        "part": fields.get("part", "i"),
+        "lemma_mode": lemma_mode,
+        "tuple_samples": tuple_samples,
+        "rho": fields.get("rho", "thm1"),
+    }
+    fault = _property_fault(**chosen)
+    if fault is not None:  # a default is never at fault, so its key is in the spec
+        field, message = fault
+        raise ParseError(message, lines[_PROPERTY_KEYS[field]])
+    prop = MCProperty(**chosen, color=_COLOR_INDEX[color])
     n_values = convert("n", lambda text: tuple(int(x) for x in text.split(",")))
     if not n_values or any(n < 1 for n in n_values):
         raise ParseError("n values must be positive", lines["n"])

@@ -613,6 +613,26 @@ class TestChunkedLemmaEvaluation:
         assert rep.samples > LEMMA_CHUNK
         assert rep == reference_report(tau, lemma_id, "exhaustive")
 
+    @pytest.mark.parametrize(
+        "lemma_id, spec, samples",
+        [
+            ("nsize", RandomSpec(31, "friendly", 41), 200),  # 62 vertices: one word
+            ("nsize", RandomSpec(32, "friendly", 42), 200),  # 64: one full word
+            ("nsize", RandomSpec(33, "friendly", 43), 200),  # 66: a second word
+            # the oracle tries every extra vertex per set, so fewer sets
+            ("nsize2", RandomSpec(33, "friendly", 44), 100),
+            ("nsize3", RandomSpec(63, "general", 45), 100),
+            ("nsize3", RandomSpec(64, "general", 46), 100),
+            ("nsize3", RandomSpec(65, "general", 47), 100),
+        ],
+    )
+    def test_sampled_matches_per_tuple_replay_at_word_boundaries(self, lemma_id, spec, samples):
+        """The rows are packed 64 vertices to a word; a vertex lost or
+        counted twice at the edge of a word changes a size."""
+        tau = sample_type(spec)
+        rep = check_neighborhood_lemma(tau, lemma_id, "sampled", samples, seed=1)
+        assert rep == reference_report(tau, lemma_id, "sampled", samples, seed=1)
+
     @pytest.mark.parametrize("samples", CHUNK_EDGES)
     def test_all_green_ties_keep_the_first_tuple(self, samples):
         friendly = all_green((RED,) * 12 + (BLUE,) * 12)
@@ -873,8 +893,10 @@ threshold=0.5
         ],
     )
     def test_bad_property_fields_rejected_at_parse_time(self, line, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ParseError, match=match) as info:
             parse_experiment_spec(f"property=lemma\n{line}\nn=5\nseeds=2\n")
+        assert info.value.line == 2
+        assert str(info.value).endswith("(line 2)")
 
 
 class TestMCPropertyValidation:

@@ -327,6 +327,52 @@ PARSE_ERRORS = [
         "n values must be positive (line 2)",
     ),
     (parse_experiment_spec, "property=block_rows\nn=5\nseeds=5..4\n", "empty seed list (line 3)"),
+    (
+        parse_scenario,
+        "model=friendly\ncandidate=red\nvertex=a:red\nset=b\n",
+        "set member 'b' not declared (line 4)",
+    ),
+    (
+        parse_scenario,
+        "model=general\ncandidate=red\nvertex=a:red\nvertex=b:blue\nvertex=a:blue\n",
+        "duplicate constraint vertex names (line 5)",
+    ),
+    (
+        parse_scenario,
+        "model=general\ncandidate=red\nvertex=a:red\nset=a\nset=a,a\n",
+        "duplicate member inside a constraint set (line 5)",
+    ),
+    (parse_scenario, "candidate=red\n\nmodel=weird\n", "unknown model 'weird' (line 3)"),
+    (
+        parse_experiment_spec,
+        "property=lemma\nn=5\nmodel=weird\nseeds=3\n",
+        "unknown model 'weird' (line 3)",
+    ),
+    (
+        parse_experiment_spec,
+        "property=lemma\nn=5\nseeds=3\nlemma=bogus\n",
+        "unknown lemma id 'bogus' (line 4)",
+    ),
+    (
+        parse_experiment_spec,
+        "property=lemma\npart=iii\nn=5\nseeds=3\n",
+        "unknown part 'iii' (line 2)",
+    ),
+    (
+        parse_experiment_spec,
+        "n=5\nseeds=3\nproperty=bogus\n",
+        "unknown property kind 'bogus' (line 3)",
+    ),
+    (
+        parse_experiment_spec,
+        "property=contains_rho\nn=5\nseeds=3\n# pattern\nrho=zz\n",
+        "unknown rho token 'zz' (line 5)",
+    ),
+    (
+        parse_experiment_spec,
+        "property=lemma\nn=5\nmode=sampled:0\nseeds=3\n",
+        "tuple samples must be positive (line 3)",
+    ),
 ]
 
 
