@@ -19,7 +19,6 @@ from .model import (
     is_embedding,
     pattern_by_token,
     rho_obstruction_family,
-    vertex_pairs,
 )
 from .randtypes import RandomSpec, choose_plant_positions, plant_subtype, sample_type
 
@@ -97,9 +96,10 @@ def obstruction_graph(
     edges.append((x[0], prime[b3]))
     edges.append((y[m - 1], prime[r3]))
     for v in sigma:
-        if tau.edge(r1, v) == BLUE or tau.edge(r2, v) == BLUE:
+        row = tau.rows[v]
+        if row[r1] == BLUE or row[r2] == BLUE:
             edges.extend((xi, prime[v]) for xi in x)
-        if tau.edge(b1, v) == BLUE or tau.edge(b2, v) == BLUE:
+        if row[b1] == BLUE or row[b2] == BLUE:
             edges.extend((yi, prime[v]) for yi in y)
     graph = SimpleGraph.from_edges(s + 2 * m, edges)
     labels = (
@@ -114,11 +114,13 @@ def _prime_edges(tau: TypeGraph, sigma: Sequence[int], offset: int) -> list[tupl
     """The primed blue-edge graph on sigma, the prime of sigma[k] numbered
     offset + k: two primes are joined iff their sigma vertices form a blue
     edge of tau.  Pairs come in lexicographic order."""
-    return [
-        (offset + k, offset + l)
-        for k, l in vertex_pairs(len(sigma))
-        if tau.edge(sigma[k], sigma[l]) == BLUE
-    ]
+    edges = []
+    for k, v in enumerate(sigma):
+        row = tau.rows[v]
+        edges.extend(
+            (offset + k, offset + l) for l in range(k + 1, len(sigma)) if row[sigma[l]] == BLUE
+        )
+    return edges
 
 
 def broken_path_embedding(instance: ObstructionInstance, i: int) -> tuple[int, ...]:
@@ -211,7 +213,8 @@ def reduction_graph(
     sigma = tuple(sorted(common_neighborhood(tau, rho_copy.image)))
     edges = list(g.edges)
     for k, v in enumerate(sigma):
-        if any(tau.edge(v, h) == BLUE for h in rho_copy.image):
+        row = tau.rows[v]
+        if any(row[h] == BLUE for h in rho_copy.image):
             edges.extend((u, g.n + k) for u in range(g.n))
     edges.extend(_prime_edges(tau, sigma, g.n))
     out = SimpleGraph.from_edges(g.n + len(sigma), edges)

@@ -244,6 +244,16 @@ class SimpleGraph:
             if not 0 <= u < v < self.n:
                 raise ValueError(f"bad edge {e!r} for n={self.n}")
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Neighbor bitmask of each vertex: bit v of adjacency[u] is set iff
+        uv is an edge.  Built on first use, once per graph."""
+        nbr = [0] * self.n
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         norm = set()
@@ -568,16 +578,23 @@ def is_embedding(g: SimpleGraph, tau: TypeGraph, psi: Sequence[int]) -> bool:
     No edge uv may land on a red entry rows[psi[u]][psi[v]] and no non-edge
     on a blue one: edges go to one blue vertex or across a blue/green edge,
     non-edges to one red vertex or across a red/green edge.
+
+    Pairs are walked from the highest-numbered vertex down.  Callers that
+    enumerate maps vary the last entries fastest, so a map that fails
+    usually fails on its first few pairs.
     """
     if len(psi) != g.n:
         raise ValueError(f"map has {len(psi)} entries, graph has {g.n} vertices")
+    n = len(tau.rows)
     for t in psi:
-        if not 0 <= t < tau.n:
+        if not 0 <= t < n:
             raise ValueError(f"image vertex {t} outside type")
-    rows, edges = tau.rows, g.edges
-    for u, v in vertex_pairs(g.n):
-        if rows[psi[u]][psi[v]] == (RED if (u, v) in edges else BLUE):
-            return False
+    rows, adjacency = tau.rows, g.adjacency
+    for u in range(g.n - 1, 0, -1):
+        row, nbrs = rows[psi[u]], adjacency[u]
+        for v in range(u - 1, -1, -1):
+            if row[psi[v]] == (RED if nbrs >> v & 1 else BLUE):
+                return False
     return True
 
 

@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -471,7 +472,9 @@ def check_neighborhood_lemma(
 def _chunks(tuples: Iterator[tuple[int, ...]]) -> Iterator[np.ndarray]:
     """Consecutive (<= LEMMA_CHUNK, width) index arrays of equal-width tuples."""
     while chunk := list(islice(tuples, LEMMA_CHUNK)):
-        yield np.array(chunk, dtype=np.intp)
+        shape = len(chunk), len(chunk[0])
+        flat = np.fromiter(chain.from_iterable(chunk), np.intp, shape[0] * shape[1])
+        yield flat.reshape(shape)
 
 
 def _all_sets(red_pool, blue_pool, red_count, blue_count):
@@ -732,7 +735,7 @@ class MCProperty:
     def __post_init__(self) -> None:
         fault = _property_fault(
             self.kind, self.model, self.lemma_id, self.part, self.lemma_mode,
-            self.tuple_samples, self.rho,
+            self.tuple_samples, self.rho, self.color,
         )
         if fault is not None:
             raise ValueError(fault[1])
@@ -755,6 +758,7 @@ def _property_fault(
     lemma_mode: str,
     tuple_samples: int,
     rho: str,
+    color: int,
 ) -> tuple[str, str] | None:
     """The first invalid MCProperty field, as (field name, message); None
     if every field is valid."""
@@ -772,6 +776,9 @@ def _property_fault(
         return "part", f"unknown part {part!r}"
     if rho not in PATTERNS:
         return "rho", f"unknown rho token {rho!r}"
+    # label() indexes COLOR_NAMES by the color, so 2.0 is no color here
+    if not isinstance(color, Integral) or color not in (RED, BLUE, GREEN):
+        return "color", f"bad color {color!r}"
     return None
 
 

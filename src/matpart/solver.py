@@ -137,9 +137,7 @@ def find_embedding(
     cfg = config or SolverConfig()
     if rows is None:
         rows = _hom_rows(tau)
-    relation = [[RED] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        relation[u][v] = relation[v][u] = BLUE
+    relation = _relation(g)
     limit = cfg.node_limit
     batch = limit is None or limit > BATCH_BUDGET
     if batch and _batch_bytes(g.n, tau.n) <= MAX_BATCH_BYTES:
@@ -150,6 +148,15 @@ def find_embedding(
         if result.status != UNKNOWN:
             return result
     return _list_search(relation, rows, limit)
+
+
+def _relation(g: SimpleGraph) -> list[list[int]]:
+    """relation[u][v]: the color a map must respect on the pair uv, BLUE
+    for an edge of g and RED for a non-edge (and on the unread diagonal)."""
+    relation = [[RED] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        relation[u][v] = relation[v][u] = BLUE
+    return relation
 
 
 def _list_search(
@@ -230,9 +237,7 @@ def _bitset_search(
         return SearchResult(SAT, (), 0, 0)
     dtype = _batch_dtype(k)
     free = dtype(1) << dtype(np.dtype(dtype).itemsize * 8 - 1)
-    colors = np.full((n, n), RED, np.intp)
-    for u, v in g.edges:
-        colors[u, v] = colors[v, u] = BLUE
+    colors = np.array(_relation(g), np.intp)
     bits = np.left_shift(dtype(1), np.arange(k, dtype=dtype))
     forward = (np.array(rows, dtype=dtype).reshape(k, 3) | free)[
         np.arange(k)[:, None], colors[:, None, :]
@@ -292,11 +297,12 @@ def brute_force_has_embedding(g: SimpleGraph, tau: TypeGraph) -> bool:
     if tau.n**g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"search space {tau.n}^{g.n} exceeds the brute-force guard")
     psi = [0] * g.n
+    last = tau.n - 1
     while True:
         if is_embedding(g, tau, psi):
             return True
         k = g.n - 1
-        while k >= 0 and psi[k] == tau.n - 1:
+        while k >= 0 and psi[k] == last:
             psi[k] = 0
             k -= 1
         if k < 0:

@@ -201,6 +201,8 @@ def parse_scenario(text: str) -> MembershipScenario:
     # each field's lines, in the entry order _scenario_fault indexes
     lines: dict[str, list[int]] = {"model": [], "candidate": [], "vertices": [], "sets": []}
     for lineno, key, value in _key_values(text):
+        if key in ("model", "candidate") and lines[key]:
+            raise ParseError(f"duplicate key {key!r}", lineno)
         if key == "model":
             model = value
             lines["model"] = [lineno]
@@ -257,6 +259,7 @@ _PROPERTY_KEYS = {
     "lemma_mode": "mode",
     "tuple_samples": "mode",
     "rho": "rho",
+    "color": "color",
 }
 
 
@@ -320,12 +323,13 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         "lemma_mode": lemma_mode,
         "tuple_samples": tuple_samples,
         "rho": fields.get("rho", "thm1"),
+        "color": _COLOR_INDEX[color],
     }
     fault = _property_fault(**chosen)
     if fault is not None:  # a default is never at fault, so its key is in the spec
         field, message = fault
         raise ParseError(message, lines[_PROPERTY_KEYS[field]])
-    prop = MCProperty(**chosen, color=_COLOR_INDEX[color])
+    prop = MCProperty(**chosen)
     n_values = convert("n", lambda text: tuple(int(x) for x in text.split(",")))
     if not n_values or any(n < 1 for n in n_values):
         raise ParseError("n values must be positive", lines["n"])

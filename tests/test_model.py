@@ -29,6 +29,7 @@ from matpart.model import (
     type_is_friendly,
     vertex_pairs,
 )
+from matpart.constructions import build_planted_obstruction
 from matpart.randtypes import RandomSpec, plant_subtype, sample_type
 
 
@@ -503,19 +504,71 @@ def reference_is_embedding(g, tau, psi):
     return True
 
 
+def embedded_graph(rng, tau, psi):
+    """A random graph that psi embeds into tau: a pair is an edge where
+    its image entry is blue, a non-edge where it is red, either on green."""
+    edges = []
+    for u, v in vertex_pairs(len(psi)):
+        c = tau.rows[psi[u]][psi[v]]
+        if c == BLUE or (c == GREEN and rng.random() < 0.5):
+            edges.append((u, v))
+    return SimpleGraph.from_edges(len(psi), edges)
+
+
 class TestEmbedding:
     def test_matches_per_pair_lookup(self):
+        """Random maps of graphs of 0 to 24 vertices, and maps that differ
+        from a true embedding only in their last entries, where the walk
+        from the highest-numbered vertex down meets the fault first."""
         rng = random.Random(23)
         verdicts = set()
         for _ in range(400):
             tau = random_type(rng, rng.randint(1, 5))
-            n = rng.randint(0, 6)
+            n = rng.randint(0, 24)
             g = SimpleGraph.from_edges(n, [e for e in vertex_pairs(n) if rng.random() < 0.5])
             psi = [rng.randrange(tau.n) for _ in range(n)]
             verdict = is_embedding(g, tau, psi)
             assert verdict == reference_is_embedding(g, tau, psi)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+        verdicts = set()
+        for _ in range(300):
+            tau = random_type(rng, rng.randint(1, 6))
+            n = rng.randint(1, 24)
+            psi = [rng.randrange(tau.n) for _ in range(n)]
+            g = embedded_graph(rng, tau, psi)
+            assert is_embedding(g, tau, psi)
+            for k in range(1, min(n, 3) + 1):
+                changed = psi[: n - k] + [rng.randrange(tau.n) for _ in range(k)]
+                verdict = is_embedding(g, tau, changed)
+                assert verdict == reference_is_embedding(g, tau, changed)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_restricted_gadget_maps_match_per_pair_lookup(self):
+        """Every one of the 4^m restricted placements of seeded gadgets, the
+        maps restricted_placement_unsat walks, gets the per-pair verdict."""
+        checked = 0
+        for seed, n, m in ((0, 10, 1), (1, 11, 2), (2, 12, 3), (3, 10, 4)):
+            inst = build_planted_obstruction(n, m, seed)
+            r1, r2, _, b1, b2, _ = inst.rho_copy.image
+            for xs in product((r1, r2), repeat=m):
+                for ys in product((b1, b2), repeat=m):
+                    psi = list(inst.sigma) + list(xs) + list(ys)
+                    verdict = is_embedding(inst.graph, inst.tau, psi)
+                    assert verdict == reference_is_embedding(inst.graph, inst.tau, psi)
+                    checked += 1
+        assert checked == 4 + 16 + 64 + 256
+
+    def test_adjacency_agrees_with_has_edge(self):
+        rng = random.Random(29)
+        for n in list(range(6)) + [rng.randint(6, 70) for _ in range(20)]:
+            g = SimpleGraph.from_edges(n, [e for e in vertex_pairs(n) if rng.random() < 0.4])
+            assert len(g.adjacency) == n
+            for u in range(n):
+                for v in range(n):
+                    assert bool(g.adjacency[u] >> v & 1) == (u != v and g.has_edge(u, v))
+                assert g.adjacency[u] >> n == 0
 
     def test_rejects_bad_maps(self):
         tau = TypeGraph((RED, BLUE), (GREEN,))
@@ -523,6 +576,11 @@ class TestEmbedding:
             is_embedding(SimpleGraph.empty(2), tau, (0,))
         with pytest.raises(ValueError, match="^image vertex 2 outside type$"):
             is_embedding(SimpleGraph.empty(2), tau, (0, 2))
+        # -1 would index the last row; the range check must come first
+        with pytest.raises(ValueError, match="^image vertex -1 outside type$"):
+            is_embedding(SimpleGraph.complete(3), tau, (0, 1, -1))
+        with pytest.raises(ValueError, match="^image vertex -1 outside type$"):
+            is_embedding(SimpleGraph.empty(2), tau, (-1, 0))
 
 
     def test_edge_into_blue_vertex(self):

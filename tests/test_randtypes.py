@@ -919,3 +919,16 @@ class TestMCPropertyValidation:
             for lemma_id in LEMMA_THRESHOLDS:
                 for mode in ("exhaustive", "sampled"):
                     MCProperty("lemma", model, lemma_id, lemma_mode=mode, tuple_samples=1)
+
+    @pytest.mark.parametrize("color", [7, 3, -1, 2.0, "green", None])
+    def test_bad_color_rejected(self, color):
+        """A color outside red, blue, green fails at construction, not as
+        an IndexError inside monte_carlo."""
+        with pytest.raises(ValueError, match=f"^bad color {color!r}$"):
+            MCProperty(kind="edge_frequency", color=color)
+
+    def test_every_color_accepted_and_labelled(self):
+        for color, name in ((RED, "red"), (BLUE, "blue"), (GREEN, "green")):
+            prop = MCProperty(kind="edge_frequency", model="general", color=color)
+            (summary,) = monte_carlo(prop, [6], range(2))
+            assert summary.property_label == f"edge_frequency:{name}"

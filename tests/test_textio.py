@@ -373,6 +373,21 @@ PARSE_ERRORS = [
         "property=lemma\nn=5\nmode=sampled:0\nseeds=3\n",
         "tuple samples must be positive (line 3)",
     ),
+    (
+        parse_scenario,
+        "model=friendly\nmodel=general\ncandidate=red\ncandidate=blue\nvertex=a:red\n",
+        "duplicate key 'model' (line 2)",
+    ),
+    (
+        parse_scenario,
+        "model=general\ncandidate=red\nvertex=a:red\n# again\ncandidate=blue\n",
+        "duplicate key 'candidate' (line 5)",
+    ),
+    (
+        parse_scenario,
+        "candidate=blue\nmodel=general\ncandidate=green\n",
+        "duplicate key 'candidate' (line 3)",
+    ),
 ]
 
 
