@@ -25,10 +25,6 @@ from .model import (
     type_is_friendly,
 )
 
-DEFAULT_LEMMA_SAMPLES = 2000  # sampled-mode tuples when exhaustive would blow up
-DEFAULT_LEMMA_SEED = 0
-
-
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("".join(f"{line}\n" for line in lines))
 
@@ -149,33 +145,20 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         tau = textio.parse_type(_read(args.type_file))
         space = randtypes.exhaustive_tuple_space(tau, args.which)
         mode = "exhaustive" if space <= randtypes.EXHAUSTIVE_TUPLE_LIMIT else "sampled"
-        report = randtypes.check_neighborhood_lemma(
-            tau,
-            args.which,
-            mode=mode,
-            samples=DEFAULT_LEMMA_SAMPLES,
-            seed=DEFAULT_LEMMA_SEED,
-        )
+        report = randtypes.check_neighborhood_lemma(tau, args.which, mode=mode)
         _emit(["command=lemma", f"source={args.type_file}"] + _lemma_report_lines(report))
         return 0
     if args.seeds is None:
         raise ValueError("--sample requires --seeds")
     model = "general" if args.which == "nsize3" else "friendly"
-    prop = randtypes.MCProperty(
-        kind="lemma",
-        model=model,
-        lemma_id=args.which,
-        part="both",
-        lemma_mode="sampled",
-        tuple_samples=200,
-    )
+    prop = randtypes.MCProperty(kind="lemma", model=model, lemma_id=args.which, part="both")
     (summary,) = randtypes.monte_carlo(prop, [args.sample], range(args.seeds))
     _emit(
         [
             "command=lemma",
             f"lemma={args.which}",
             f"model={model}",
-            "mode=sampled:200",
+            f"mode={prop.lemma_mode}:{prop.tuple_samples}",
             f"n={summary.n}",
             f"trials={summary.trials}",
             f"successes={summary.successes}",

@@ -26,13 +26,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 RED, BLUE, GREEN = 0, 1, 2
 ZERO, ONE, STAR = 0, 1, 2  # matrix entries, aligned with the color correspondence
 
 COLOR_NAMES = ("red", "blue", "green")
-_EDGE_COLORS = frozenset((RED, BLUE, GREEN))
 ENTRY_CHARS = "01*"
 
 
@@ -143,14 +143,9 @@ class TypeGraph(_Table):
             raise ValueError(
                 f"expected {n * (n - 1) // 2} edge colors, got {len(edge_colors)}"
             )
-        try:
-            valid = set(edge_colors) <= _EDGE_COLORS
-        except TypeError:  # an unhashable color: the walk below names it
-            valid = False
-        if not valid:
-            for k, c in enumerate(edge_colors):
-                if c not in (RED, BLUE, GREEN):
-                    raise ValueError(f"bad edge color {c!r} at pair index {k}")
+        for k, c in enumerate(edge_colors):
+            if c not in (RED, BLUE, GREEN):
+                raise ValueError(f"bad edge color {c!r} at pair index {k}")
         rows = _rows_from_pairs(_byte_form(vertex_colors), _byte_form(edge_colors))
         object.__setattr__(self, "rows", rows)
 
@@ -161,6 +156,22 @@ class TypeGraph(_Table):
     @cached_property
     def vertex_colors(self) -> tuple[int, ...]:
         return tuple(row[i] for i, row in enumerate(self.rows))
+
+    @cached_property
+    def hom_rows(self) -> tuple[tuple[int, int, int], ...]:
+        """hom_rows[t][c]: bitset of targets s that an edge of color c may
+        join to t, the target rows of every embedding and edge-homomorphism
+        search of this type.  Built on first use, once per type.
+
+        A red (blue) edge may collapse into a red (blue) vertex or cross a
+        red (blue) or green edge; a green edge may go anywhere.  With the
+        vertex color on the diagonal, that is every entry of row t but blue
+        (red).
+        """
+        full = (1 << self.n) - 1
+        return tuple(
+            (_row_bits(row, _NOT_BLUE), _row_bits(row, _NOT_RED), full) for row in self.rows
+        )
 
     @property
     def edge_colors(self) -> tuple[int, ...]:
@@ -206,6 +217,8 @@ def _bit_table(*colors: int) -> bytes:
 
 
 _EQUALS = tuple(_bit_table(c) for c in (RED, BLUE, GREEN))
+_NOT_BLUE = _bit_table(RED, GREEN)
+_NOT_RED = _bit_table(BLUE, GREEN)
 
 
 def _row_bits(row: bytes, table: bytes) -> int:
@@ -586,9 +599,14 @@ def is_embedding(g: SimpleGraph, tau: TypeGraph, psi: Sequence[int]) -> bool:
     if len(psi) != g.n:
         raise ValueError(f"map has {len(psi)} entries, graph has {g.n} vertices")
     n = len(tau.rows)
-    for t in psi:
-        if not 0 <= t < n:
-            raise ValueError(f"image vertex {t} outside type")
+    # inline rather than shared with is_edge_homomorphism: a helper call costs
+    # brute_force_has_embedding, which calls this once per map, about 10%
+    try:
+        for t in psi:
+            if not 0 <= index(t) < n:
+                raise ValueError(f"image vertex {t} outside type")
+    except TypeError:  # index(t) of an entry that is no integer (a bool is one)
+        raise ValueError(f"image vertex {t!r} is not an integer") from None
     rows, adjacency = tau.rows, g.adjacency
     for u in range(g.n - 1, 0, -1):
         row, nbrs = rows[psi[u]], adjacency[u]
@@ -606,9 +624,12 @@ def is_edge_homomorphism(
     red or blue entry of sigma goes to the same color or to green."""
     if len(phi) != sigma.n:
         raise ValueError(f"map has {len(phi)} entries, type has {sigma.n} vertices")
-    for t in phi:
-        if not 0 <= t < tau.n:
-            raise ValueError(f"image vertex {t} outside target type")
+    try:
+        for t in phi:
+            if not 0 <= index(t) < tau.n:
+                raise ValueError(f"image vertex {t} outside target type")
+    except TypeError:
+        raise ValueError(f"image vertex {t!r} is not an integer") from None
     rows = tau.rows
     for v, w in vertex_pairs(sigma.n):
         c = sigma.rows[v][w]

@@ -4,8 +4,8 @@ enumeration of minimal obstructions and edge-homomorphisms.
 Every search here is one list M-partition instance run through
 model.ListSearch, an iterative backtracking search over bitset target lists
 with forward checking.  An embedding of g into tau is an edge-homomorphism
-from g, read as a type with blue edges and red non-edges, so both share the
-target rows of _hom_rows.  Everything is complete (no heuristics that lose
+from g, read as a type with blue edges and red non-edges, so both read the
+target rows tau.hom_rows.  Everything is complete (no heuristics that lose
 solutions), and a node limit turns the answer into a tri-state so a timeout
 is never mistaken for "no embedding".
 
@@ -42,13 +42,10 @@ import numpy as np
 
 from .model import (
     BLUE,
-    GREEN,
     RED,
     ListSearch,
     SimpleGraph,
     TypeGraph,
-    _bit_table,
-    _row_bits,
     is_embedding,
     subtype,
     vertex_pairs,
@@ -101,32 +98,13 @@ class SearchResult:
         return self.status == SAT
 
 
-_NOT_BLUE = _bit_table(RED, GREEN)
-_NOT_RED = _bit_table(BLUE, GREEN)
-
-
-def _hom_rows(tau: TypeGraph) -> list[tuple[int, int, int]]:
-    """rows[t][c]: bitset of targets s an edge of color c may join to t.
-
-    A red (blue) edge may collapse into a red (blue) vertex or cross a red
-    (blue) or green edge; a green edge may go anywhere.  With the vertex
-    color on the diagonal, that is every entry of row t but blue (red).
-    """
-    full = (1 << tau.n) - 1
-    return [(_row_bits(row, _NOT_BLUE), _row_bits(row, _NOT_RED), full) for row in tau.rows]
-
-
 def find_embedding(
-    g: SimpleGraph,
-    tau: TypeGraph,
-    config: SolverConfig | None = None,
-    *,
-    rows: Sequence[tuple[int, int, int]] | None = None,
+    g: SimpleGraph, tau: TypeGraph, config: SolverConfig | None = None
 ) -> SearchResult:
     """Complete search for an embedding of g into tau, most constrained
     vertex first.
 
-    rows is _hom_rows(tau), for a caller that searches one type many times.
+    Both cores read one relation of g (_relation) against tau.hom_rows.
     ListSearch runs for BATCH_BUDGET nodes; a search that outlasts them
     goes to _bitset_search if its arrays fit in MAX_BATCH_BYTES, which
     returns the same map, node count and depth on SAT and UNSAT.  Its count
@@ -135,8 +113,7 @@ def find_embedding(
     under the limit.
     """
     cfg = config or SolverConfig()
-    if rows is None:
-        rows = _hom_rows(tau)
+    rows = tau.hom_rows
     relation = _relation(g)
     limit = cfg.node_limit
     batch = limit is None or limit > BATCH_BUDGET
@@ -144,7 +121,7 @@ def find_embedding(
         first = _list_search(relation, rows, BATCH_BUDGET)
         if first.status != UNKNOWN:
             return first
-        result = _bitset_search(g, rows, limit)
+        result = _bitset_search(relation, rows, limit)
         if result.status != UNKNOWN:
             return result
     return _list_search(relation, rows, limit)
@@ -199,7 +176,7 @@ def _batch_bytes(n: int, k: int) -> float:
 
 
 def _bitset_search(
-    g: SimpleGraph, rows: Sequence[tuple[int, int, int]], limit: int | None
+    relation: list[list[int]], rows: Sequence[tuple[int, int, int]], limit: int | None
 ) -> SearchResult:
     """ListSearch's search (fewest targets first, ties to the lower vertex),
     expanding many nodes of its tree per numpy call, in its order.
@@ -210,11 +187,12 @@ def _bitset_search(
     batch of nodes at once; the node count and depth ListSearch would
     reach at the limit are not known here.
 
-    A search node is a row of n words, one per vertex of g.  A free vertex
-    carries its target list plus the top bit, so a list that loses every
-    target equals the top bit alone and wipes the row out; an assigned
-    vertex carries 1 << t, its target, without the top bit.  A row with no
-    top bit left is a complete assignment, and the map.
+    relation is _relation(g) of the graph g searched.  A search node is a
+    row of n words, one per vertex of g.  A free vertex carries its target
+    list plus the top bit, so a list that loses every target equals the
+    top bit alone and wipes the row out; an assigned vertex carries
+    1 << t, its target, without the top bit.  A row with no top bit left
+    is a complete assignment, and the map.
     forward[u, t] is the row that assigning t to u ANDs in: the hom row of
     t for each other vertex, with the top bit kept, and 1 << t for u.
     Hom rows are symmetric (s joins t where t joins s), so the word of an
@@ -232,12 +210,12 @@ def _bitset_search(
     ListSearch never tries, so each pending row carries that number beside
     it and the SAT count subtracts it.
     """
-    k, n = len(rows), g.n
+    k, n = len(rows), len(relation)
     if n == 0:
         return SearchResult(SAT, (), 0, 0)
     dtype = _batch_dtype(k)
     free = dtype(1) << dtype(np.dtype(dtype).itemsize * 8 - 1)
-    colors = np.array(_relation(g), np.intp)
+    colors = np.array(relation, np.intp)
     bits = np.left_shift(dtype(1), np.arange(k, dtype=dtype))
     forward = (np.array(rows, dtype=dtype).reshape(k, 3) | free)[
         np.arange(k)[:, None], colors[:, None, :]
@@ -436,7 +414,6 @@ def enumerate_minimal_obstructions(
     """
     if not 1 <= max_vertices <= MAX_CANONICAL_N:
         raise ValueError(f"max_vertices must be in 1..{MAX_CANONICAL_N}")
-    rows = _hom_rows(tau)
     found: list[tuple[int, int]] = []
     embeddable = {0: SimpleGraph.empty(0)}  # canonical code -> representative
     for size in range(1, max_vertices + 1):
@@ -448,10 +425,10 @@ def enumerate_minimal_obstructions(
                 if code in seen:
                     continue
                 seen.add(code)
-                if find_embedding(cand, tau, rows=rows).found:
+                if find_embedding(cand, tau).found:
                     next_embeddable[code] = graph_from_code(size, code)
                 elif all(
-                    find_embedding(cand.delete_vertex(v), tau, rows=rows).found
+                    find_embedding(cand.delete_vertex(v), tau).found
                     for v in range(size)
                 ):
                     found.append((size, code))
@@ -472,7 +449,7 @@ def enumerate_edge_homomorphisms(
     """All edge-homomorphisms sigma -> tau in lexicographic order."""
     if tau.n > 1 and tau.n**sigma.n > EDGE_HOM_LIMIT:
         raise ValueError(f"search space {tau.n}^{sigma.n} exceeds the guard")
-    yield from ListSearch([(1 << tau.n) - 1] * sigma.n, sigma.rows, _hom_rows(tau))
+    yield from ListSearch([(1 << tau.n) - 1] * sigma.n, sigma.rows, tau.hom_rows)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ image line, the output graph file and the label lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 from typing import Iterator
 
 from .constructions import ObstructionInstance, ReductionInstance
@@ -244,25 +245,6 @@ class ExperimentSpec:
     threshold: float | None
 
 
-_EXPERIMENT_KEYS = (
-    "property", "model", "lemma", "part", "mode", "n", "seeds", "threshold",
-    "color", "rho",
-)
-
-
-# the spec key that sets each MCProperty field
-_PROPERTY_KEYS = {
-    "kind": "property",
-    "model": "model",
-    "lemma_id": "lemma",
-    "part": "part",
-    "lemma_mode": "mode",
-    "tuple_samples": "mode",
-    "rho": "rho",
-    "color": "color",
-}
-
-
 def _parse_seed_field(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
@@ -273,14 +255,28 @@ def _parse_seed_field(text: str) -> tuple[int, ...]:
     return tuple(range(int(text)))
 
 
-def _parse_mode(text: str) -> tuple[str, int]:
-    if text == "exhaustive":
-        return "exhaustive", 200
-    if text == "sampled":
-        return "sampled", 200
+def _parse_mode(text: str) -> dict[str, str | int]:
+    if text in ("exhaustive", "sampled"):
+        return {"lemma_mode": text}
     if text.startswith("sampled:"):
-        return "sampled", int(text.split(":", 1)[1])
+        return {"lemma_mode": "sampled", "tuple_samples": int(text.split(":", 1)[1])}
     raise ValueError(text)
+
+
+# every experiment key, with the parse of its value into the MCProperty
+# fields it sets (None for the keys that set none), in conversion order
+_EXPERIMENT_KEYS = {
+    "property": lambda text: {"kind": text},
+    "model": lambda text: {"model": text},
+    "lemma": lambda text: {"lemma_id": text},
+    "part": lambda text: {"part": text},
+    "mode": _parse_mode,
+    "color": lambda text: {"color": COLOR_NAMES.index(text)},
+    "rho": lambda text: {"rho": text},
+    "n": None,
+    "seeds": None,
+    "threshold": None,
+}
 
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
@@ -311,24 +307,17 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         except ValueError:
             raise ParseError(f"bad {key} {fields[key]!r}", lines[key]) from None
 
-    lemma_mode, tuple_samples = convert("mode", _parse_mode, ("sampled", 200))
-    color = fields.get("color", "green")
-    if color not in _COLOR_INDEX:
-        raise ParseError(f"bad color {color!r}", lines["color"])
-    chosen = {
-        "kind": fields["property"],
-        "model": fields.get("model", "friendly"),
-        "lemma_id": fields.get("lemma", "nsize"),
-        "part": fields.get("part", "i"),
-        "lemma_mode": lemma_mode,
-        "tuple_samples": tuple_samples,
-        "rho": fields.get("rho", "thm1"),
-        "color": _COLOR_INDEX[color],
-    }
-    fault = _property_fault(**chosen)
-    if fault is not None:  # a default is never at fault, so its key is in the spec
+    chosen: dict[str, str | int] = {}
+    setter: dict[str, str] = {}  # the key that set each chosen field
+    for key, parse in _EXPERIMENT_KEYS.items():
+        if parse is not None and key in fields:
+            for name, value in convert(key, parse).items():
+                chosen[name], setter[name] = value, key
+    defaults = {f.name: f.default for f in dataclass_fields(MCProperty) if f.name not in chosen}
+    fault = _property_fault(**defaults, **chosen)
+    if fault is not None:  # a default is never at fault, so a key set the field
         field, message = fault
-        raise ParseError(message, lines[_PROPERTY_KEYS[field]])
+        raise ParseError(message, lines[setter[field]])
     prop = MCProperty(**chosen)
     n_values = convert("n", lambda text: tuple(int(x) for x in text.split(",")))
     if not n_values or any(n < 1 for n in n_values):

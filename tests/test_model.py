@@ -1,8 +1,10 @@
 """Core model: conversions, predicates, neighborhoods, and map semantics."""
 
 import random
+import re
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from matpart.model import (
@@ -581,6 +583,23 @@ class TestEmbedding:
             is_embedding(SimpleGraph.complete(3), tau, (0, 1, -1))
         with pytest.raises(ValueError, match="^image vertex -1 outside type$"):
             is_embedding(SimpleGraph.empty(2), tau, (-1, 0))
+
+    def test_rejects_non_integer_entries(self):
+        """Both map checks name an entry that is no integer, even where the
+        graph or type has no pair to read it; bools and numpy integers are
+        integers."""
+        tau = TypeGraph((RED, BLUE), (GREEN,))
+        for psi, k in [((0, 1.0), 1), ((1.0,), 0), (("0", 1), 0), ((np.float64(0), 0), 0)]:
+            message = f"^image vertex {re.escape(repr(psi[k]))} is not an integer$"
+            with pytest.raises(ValueError, match=message):
+                is_embedding(SimpleGraph.empty(len(psi)), tau, psi)
+            sigma = TypeGraph((RED,) * len(psi), (GREEN,) * (len(psi) - 1))
+            with pytest.raises(ValueError, match=message):
+                is_edge_homomorphism(sigma, tau, psi)
+        psi = (np.int64(1), True)
+        assert not is_embedding(SimpleGraph.empty(2), tau, psi)
+        assert is_embedding(SimpleGraph.complete(2), tau, psi)
+        assert is_edge_homomorphism(TypeGraph((RED, BLUE), (GREEN,)), tau, psi)
 
 
     def test_edge_into_blue_vertex(self):

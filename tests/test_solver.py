@@ -40,8 +40,8 @@ from matpart.solver import (
     SolverConfig,
     _batch_bytes,
     _bitset_search,
-    _hom_rows,
     _list_search,
+    _relation,
     brute_force_has_embedding,
     canonical_code,
     enumerate_edge_homomorphisms,
@@ -74,7 +74,7 @@ def random_type(rng, n):
 
 
 def reference_hom_rows(tau):
-    """solver._hom_rows with one tau.edge lookup per ordered pair."""
+    """TypeGraph.hom_rows with one tau.edge lookup per ordered pair."""
     rows = []
     for t in range(tau.n):
         red = blue = 0
@@ -94,7 +94,33 @@ class TestHomRows:
         types = [TypeGraph((), ())] + [random_type(rng, rng.randint(1, 14)) for _ in range(60)]
         types.append(sample_type(RandomSpec(40, "general", 3)))
         for tau in types:
-            assert _hom_rows(tau) == reference_hom_rows(tau)
+            assert list(tau.hom_rows) == reference_hom_rows(tau)
+
+    def test_every_three_vertex_type_and_sampled_types(self):
+        types = [
+            TypeGraph(vc, ec)
+            for n in range(4)
+            for vc in product((RED, BLUE), repeat=n)
+            for ec in product((RED, BLUE, GREEN), repeat=n * (n - 1) // 2)
+        ]
+        assert len(types) == 1 + 2 + 4 * 3 + 8 * 27
+        types += [
+            sample_type(RandomSpec(n, model, seed))
+            for model in ("friendly", "general")
+            for n in (1, 7, 30)
+            for seed in range(3)
+        ]
+        for tau in types:
+            assert list(tau.hom_rows) == reference_hom_rows(tau)
+
+    def test_cached_once_and_ignored_by_equality(self):
+        rng = random.Random(31)
+        tau = random_type(rng, 6)
+        rows = tau.hom_rows
+        assert tau.hom_rows is rows
+        fresh = TypeGraph(tau.vertex_colors, tau.edge_colors)
+        assert fresh == tau and hash(fresh) == hash(tau)
+        assert "hom_rows" not in vars(fresh) and "hom_rows" in vars(tau)
 
 
 class TestFindEmbedding:
@@ -173,7 +199,7 @@ def list_search(g, tau, limit=None):
 
 
 def batched(g, tau, limit=None):
-    return _bitset_search(g, _hom_rows(tau), limit)
+    return _bitset_search(_relation(g), tau.hom_rows, limit)
 
 
 def gadget_pool():
@@ -254,10 +280,10 @@ class TestBatchedSearch:
         per node and its steps run full."""
 
         def unsat_peak(g, tau):
-            rows = _hom_rows(tau)
+            rows = tau.hom_rows
             tracemalloc.start()
             try:
-                result = _bitset_search(g, rows, None)
+                result = _bitset_search(_relation(g), rows, None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
