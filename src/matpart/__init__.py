@@ -19,10 +19,8 @@ from .model import (
     coloring_matrix,
     common_neighborhood,
     find_subtype_copy,
-    is_edge_homomorphism,
     is_embedding,
     is_friendly,
-    is_split_graph,
     matrix_from_type,
     rho_obstruction_family,
     rho_three_coloring,

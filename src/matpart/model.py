@@ -301,9 +301,6 @@ class SimpleGraph:
             u, v = v, u
         return (u, v) in self.edges
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def induced(self, keep: Sequence[int]) -> "SimpleGraph":
         """Induced subgraph on `keep`, reindexed in the given order."""
         pos = {v: k for k, v in enumerate(keep)}
@@ -599,7 +596,7 @@ def is_embedding(g: SimpleGraph, tau: TypeGraph, psi: Sequence[int]) -> bool:
     if len(psi) != g.n:
         raise ValueError(f"map has {len(psi)} entries, graph has {g.n} vertices")
     n = len(tau.rows)
-    # inline rather than shared with is_edge_homomorphism: a helper call costs
+    # inline rather than in a helper: a helper call costs
     # brute_force_has_embedding, which calls this once per map, about 10%
     try:
         for t in psi:
@@ -616,30 +613,8 @@ def is_embedding(g: SimpleGraph, tau: TypeGraph, psi: Sequence[int]) -> bool:
     return True
 
 
-def is_edge_homomorphism(
-    sigma: TypeGraph, tau: TypeGraph, phi: Sequence[int]
-) -> bool:
-    """Red edges may collapse into red vertices or cross red/green edges;
-    blue edges likewise with blue; green edges are unconstrained.  So a
-    red or blue entry of sigma goes to the same color or to green."""
-    if len(phi) != sigma.n:
-        raise ValueError(f"map has {len(phi)} entries, type has {sigma.n} vertices")
-    try:
-        for t in phi:
-            if not 0 <= index(t) < tau.n:
-                raise ValueError(f"image vertex {t} outside target type")
-    except TypeError:
-        raise ValueError(f"image vertex {t!r} is not an integer") from None
-    rows = tau.rows
-    for v, w in vertex_pairs(sigma.n):
-        c = sigma.rows[v][w]
-        if c != GREEN and rows[phi[v]][phi[w]] not in (c, GREEN):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# matrix block structure and split graphs
+# matrix block structure
 
 
 @dataclass(frozen=True)
@@ -664,20 +639,3 @@ def block_row_distinctness(mat: PartitionMatrix) -> BlockRowReport:
     a2, a3 = stats(a_rows)
     b2, b3 = stats(b_rows)
     return BlockRowReport(a2, b2, a3, b3)
-
-
-def is_split_graph(g: SimpleGraph) -> bool:
-    """Can the vertices be partitioned into a clique and an independent set?
-
-    Uses the degree-sequence characterization: with degrees sorted
-    descending and m = max{i : d_i >= i-1}, the graph is split iff
-    sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.
-    """
-    degrees = sorted((g.degree(v) for v in range(g.n)), reverse=True)
-    m = 0
-    for i, d in enumerate(degrees, start=1):
-        if d >= i - 1:
-            m = i
-    head = sum(degrees[:m])
-    tail = sum(degrees[m:])
-    return head == m * (m - 1) + tail

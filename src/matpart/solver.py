@@ -14,16 +14,17 @@ ListSearch expands a node at a time; _bitset_search expands many nodes of
 the same tree per numpy call, in the same preorder, so it reaches the same
 first map or the same proof of non-embedding and gives the SearchResult
 ListSearch alone would give.  Searches longer than BATCH_BUDGET nodes go to
-the batched core; only one that passes the caller's node limit there runs
-ListSearch again, for the node count and depth at the limit.
+the batched core; one that it declines, or that passes the caller's node
+limit or its byte bound there, runs on ListSearch again from the root.
 
 A node of the batched core is a row of n words, one per vertex of g: a
 free vertex's target list with a free mark, or an assigned vertex's one
 target bit, so a complete row is itself the map.  Beside the row goes one
 integer, the nodes its path's steps made after it, which ListSearch never
-tries; that is all the core keeps of the tree behind it.  Only graphs
-whose worst case of such rows fits in MAX_BATCH_BYTES use the core; larger
-graphs stay on ListSearch.
+tries; that is all the core keeps of the tree behind it.  The core counts
+the bytes its pending rows hold and keeps its arrays within
+MAX_BATCH_BYTES: it declines a graph whose forward table and step arrays
+alone pass the bound, and stops once its pending rows pass the rest.
 
 Obstruction enumeration drops isomorphic duplicates by canonical_code, the
 least adjacency bitstring over all relabelings.  It is found exactly by a
@@ -63,11 +64,12 @@ BATCH_BUDGET = 200
 # Children expanded per numpy step of the batched core, at most.
 BATCH_CHILDREN = 4096
 # The batched core keeps a target list and its free mark in one integer of
-# 16, 32 or 64 bits, so it takes hosts of up to 63 vertices.
+# 16, 32 or 64 bits, so it takes hosts of up to 63 vertices and declines
+# larger ones.
 MAX_BATCH_TARGETS = 63
-# find_embedding sends a search to the batched core only if the core's
-# arrays fit in this many bytes at worst (see _batch_bytes); larger graphs
-# stay on ListSearch, whose memory grows with the graph alone.
+# The batched core's arrays stay within this many bytes: it declines a
+# search whose fixed part passes it and stops one whose pending rows pass
+# the rest, and ListSearch, whose memory grows with the graph alone, runs it.
 MAX_BATCH_BYTES = 1 << 24
 
 
@@ -106,18 +108,18 @@ def find_embedding(
 
     Both cores read one relation of g (_relation) against tau.hom_rows.
     ListSearch runs for BATCH_BUDGET nodes; a search that outlasts them
-    goes to _bitset_search if its arrays fit in MAX_BATCH_BYTES, which
-    returns the same map, node count and depth on SAT and UNSAT.  Its count
-    runs ahead of ListSearch's within a step, so past the caller's limit it
-    cannot tell where ListSearch would stop; then ListSearch runs again
-    under the limit.
+    goes to _bitset_search, which returns the same map, node count and
+    depth on SAT and UNSAT.  It returns UNKNOWN when it declines the search
+    or its pending rows pass MAX_BATCH_BYTES, and past the caller's limit,
+    where its count, which runs ahead of ListSearch's within a step, cannot
+    tell where ListSearch would stop; then ListSearch runs again under the
+    limit.
     """
     cfg = config or SolverConfig()
     rows = tau.hom_rows
     relation = _relation(g)
     limit = cfg.node_limit
-    batch = limit is None or limit > BATCH_BUDGET
-    if batch and _batch_bytes(g.n, tau.n) <= MAX_BATCH_BYTES:
+    if limit is None or limit > BATCH_BUDGET:
         first = _list_search(relation, rows, BATCH_BUDGET)
         if first.status != UNKNOWN:
             return first
@@ -151,30 +153,6 @@ def _list_search(
     return SearchResult(status, psi, search.nodes, search.depth)
 
 
-def _batch_dtype(k: int) -> type[np.unsignedinteger]:
-    """Smallest word holding k targets and the free mark above them."""
-    if k > MAX_BATCH_TARGETS:
-        raise ValueError(f"batched search takes at most {MAX_BATCH_TARGETS} targets")
-    return np.uint16 if k < 16 else np.uint32 if k < 32 else np.uint64
-
-
-def _batch_bytes(n: int, k: int) -> float:
-    """Worst-case bytes of _bitset_search on n vertices and k targets: the
-    forward table of n * k rows of n words, then n children arrays of
-    pending rows and four arrays the size of one step's children, each
-    array up to BATCH_CHILDREN rows of n words and an 8-byte node offset.
-    Infinite for more than MAX_BATCH_TARGETS targets.
-
-    Pending rows keep preorder, so their depths never rise from front to
-    back, and a step's children are all the pending rows deeper than its
-    last taken row.  The pending rows of one depth thus come from one step,
-    and keep that step's children array alive: at most n of them."""
-    if k > MAX_BATCH_TARGETS:
-        return float("inf")
-    itemsize = np.dtype(_batch_dtype(k)).itemsize
-    return n * n * k * itemsize + (n + 4) * BATCH_CHILDREN * (n * itemsize + 8)
-
-
 def _bitset_search(
     relation: list[list[int]], rows: Sequence[tuple[int, int, int]], limit: int | None
 ) -> SearchResult:
@@ -186,6 +164,17 @@ def _bitset_search(
     count, which runs ahead of ListSearch's, since a step expands a whole
     batch of nodes at once; the node count and depth ListSearch would
     reach at the limit are not known here.
+
+    Its arrays stay within MAX_BATCH_BYTES.  The fixed part is the forward
+    table and four arrays of a step's children and their node offsets; a
+    search with more than MAX_BATCH_TARGETS targets, or whose fixed part
+    passes the bound, is declined at 0 nodes with UNKNOWN.  The pending
+    rows get the rest: the bytes of every chunk on the stack are counted,
+    a split chunk's whole array while any of its rows waits, and once they
+    pass the rest the search stops as at the node limit, with UNKNOWN.
+    On the planted m = 4 gadgets with n = 16 and 20 (22-27 vertices into
+    32 or 40 targets) a whole search peaked at 0.65-0.98 MiB under
+    tracemalloc, far inside the bound.
 
     relation is _relation(g) of the graph g searched.  A search node is a
     row of n words, one per vertex of g.  A free vertex carries its target
@@ -213,8 +202,13 @@ def _bitset_search(
     k, n = len(rows), len(relation)
     if n == 0:
         return SearchResult(SAT, (), 0, 0)
-    dtype = _batch_dtype(k)
-    free = dtype(1) << dtype(np.dtype(dtype).itemsize * 8 - 1)
+    # a target list and its free mark above it share one word
+    dtype = np.uint16 if k < 16 else np.uint32 if k < 32 else np.uint64
+    word = np.dtype(dtype).itemsize
+    room = MAX_BATCH_BYTES - n * n * k * word - 4 * BATCH_CHILDREN * (n * word + 8)
+    if k > MAX_BATCH_TARGETS or room < 0:
+        return SearchResult(UNKNOWN, None, 0, 0)
+    free = dtype(1) << dtype(word * 8 - 1)
     colors = np.array(relation, np.intp)
     bits = np.left_shift(dtype(1), np.arange(k, dtype=dtype))
     forward = (np.array(rows, dtype=dtype).reshape(k, 3) | free)[
@@ -223,18 +217,21 @@ def _bitset_search(
     forward[np.arange(n), :, np.arange(n)] = bits
     cap = BATCH_CHILDREN // max(k, 1)
     index = np.arange(BATCH_CHILDREN)  # indexes a step's rows and its children
-    nodes = depth = 0
-    # (rows, the nodes made after each row by the steps on its path)
-    stack: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.full((1, n), free | dtype((1 << k) - 1), dtype), np.zeros(1, np.int64))
+    nodes = depth = pending = 0
+    # (rows, the nodes made after each row by the steps on its path, the
+    # bytes of the chunk's whole arrays)
+    stack: list[tuple[np.ndarray, np.ndarray, int]] = [
+        (np.full((1, n), free | dtype((1 << k) - 1), dtype), np.zeros(1, np.int64), 0)
     ]
     while stack:
         parts, need = [], cap
         while need and stack:
-            doms, after = stack.pop()
+            doms, after, held = stack.pop()
             if len(doms) > need:
-                stack.append((doms[need:], after[need:]))
+                stack.append((doms[need:], after[need:], held))
                 doms, after = doms[:need], after[:need]
+            else:
+                pending -= held
             parts.append((doms, after))
             need -= len(doms)
         if len(parts) == 1:
@@ -253,7 +250,7 @@ def _bitset_search(
         parent, t = np.nonzero((values[:, None] & bits) != 0)  # nonzero is faster on bools
         made = len(parent)
         nodes += made
-        if limit is not None and nodes > limit:
+        if limit is not None and nodes > limit or pending > room:
             return SearchResult(UNKNOWN, None, nodes, depth)
         child = doms[parent]
         child &= forward[u[parent], t]
@@ -262,7 +259,10 @@ def _bitset_search(
         if len(child):  # child i's offset is its parent's plus made - 1 - i
             later = after[parent]
             later += index[made - 1 :: -1]
-            stack.append((child, later[keep]))
+            later = later[keep]
+            held = child.nbytes + later.nbytes
+            stack.append((child, later, held))
+            pending += held
     return SearchResult(UNSAT, None, nodes, depth)
 
 

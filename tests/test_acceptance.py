@@ -25,7 +25,6 @@ from matpart.model import (
     coloring_matrix,
     common_neighborhood,
     is_embedding,
-    is_split_graph,
     rho_three_coloring,
     type_from_matrix,
     vertex_pairs,
@@ -57,6 +56,7 @@ from matpart.solver import (
     enumerate_minimal_obstructions,
     find_embedding,
 )
+from test_model import is_split_graph
 
 
 def report(criterion, ok, detail):

