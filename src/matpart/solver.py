@@ -17,14 +17,12 @@ ListSearch alone would give.  Searches longer than BATCH_BUDGET nodes go to
 the batched core; one that it declines, or that passes the caller's node
 limit or its byte bound there, runs on ListSearch again from the root.
 
-A node of the batched core is a row of n words, one per vertex of g: a
-free vertex's target list with a free mark, or an assigned vertex's one
-target bit, so a complete row is itself the map.  Beside the row goes one
-integer, the nodes its path's steps made after it, which ListSearch never
-tries; that is all the core keeps of the tree behind it.  The core counts
-the bytes its pending rows hold and keeps its arrays within
-MAX_BATCH_BYTES: it declines a graph whose forward table and step arrays
-alone pass the bound, and stops once its pending rows pass the rest.
+A node of the batched core is a row of n words, one per vertex of g, so a
+complete row is itself the map, and beside it one integer, the nodes its
+path's steps made after it; a step gathers and filters flat arrays of
+such rows by take and compress.  The core keeps its arrays within
+MAX_BATCH_BYTES, declining a graph whose fixed part passes the bound and
+stopping once its pending rows pass the rest.
 
 Obstruction enumeration drops isomorphic duplicates by canonical_code, the
 least adjacency bitstring over all relabelings.  It is found exactly by a
@@ -59,8 +57,11 @@ UNKNOWN = "limit-exceeded"
 BRUTE_FORCE_LIMIT = 10**8
 
 # find_embedding tries ListSearch for this many nodes before it hands a
-# search to the batched core; most calls end well within it.
-BATCH_BUDGET = 200
+# search to the batched core.  On 12 gadget-solve and 16 obstruction-enum
+# bench items at each of seeds 7, 11 and 13, 64 rather than 200 saved 7-9 ms
+# of CPU on the gadget items and cost 0.4-1.3 ms on the obstruction items;
+# 50 saved under 1 ms more and cost 2-5 ms.
+BATCH_BUDGET = 64
 # Children expanded per numpy step of the batched core, at most.
 BATCH_CHILDREN = 4096
 # The batched core keeps a target list and its free mark in one integer of
@@ -108,17 +109,15 @@ def find_embedding(
 
     Both cores read one relation of g (_relation) against tau.hom_rows.
     ListSearch runs for BATCH_BUDGET nodes; a search that outlasts them
-    goes to _bitset_search, which returns the same map, node count and
-    depth on SAT and UNSAT.  It returns UNKNOWN when it declines the search
-    or its pending rows pass MAX_BATCH_BYTES, and past the caller's limit,
-    where its count, which runs ahead of ListSearch's within a step, cannot
-    tell where ListSearch would stop; then ListSearch runs again under the
-    limit.
+    goes to _bitset_search, which starts again from the root and returns
+    the same map, node count and depth on SAT and UNSAT.  It returns
+    UNKNOWN when it declines the search or its pending rows pass
+    MAX_BATCH_BYTES, and past the caller's limit, where its count, which
+    runs ahead of ListSearch's within a step, cannot tell where ListSearch
+    would stop; then ListSearch runs again under the limit.
     """
-    cfg = config or SolverConfig()
-    rows = tau.hom_rows
-    relation = _relation(g)
-    limit = cfg.node_limit
+    limit = (config or SolverConfig()).node_limit
+    rows, relation = tau.hom_rows, _relation(g)
     if limit is None or limit > BATCH_BUDGET:
         first = _list_search(relation, rows, BATCH_BUDGET)
         if first.status != UNKNOWN:
@@ -162,8 +161,7 @@ def _bitset_search(
     Returns ListSearch's SearchResult on SAT and UNSAT: the same map, node
     count and depth.  Past limit nodes it returns UNKNOWN with its own
     count, which runs ahead of ListSearch's, since a step expands a whole
-    batch of nodes at once; the node count and depth ListSearch would
-    reach at the limit are not known here.
+    batch of nodes at once.
 
     Its arrays stay within MAX_BATCH_BYTES.  The fixed part is the forward
     table and four arrays of a step's children and their node offsets; a
@@ -172,9 +170,6 @@ def _bitset_search(
     rows get the rest: the bytes of every chunk on the stack are counted,
     a split chunk's whole array while any of its rows waits, and once they
     pass the rest the search stops as at the node limit, with UNKNOWN.
-    On the planted m = 4 gadgets with n = 16 and 20 (22-27 vertices into
-    32 or 40 targets) a whole search peaked at 0.65-0.98 MiB under
-    tracemalloc, far inside the bound.
 
     relation is _relation(g) of the graph g searched.  A search node is a
     row of n words, one per vertex of g.  A free vertex carries its target
@@ -182,10 +177,9 @@ def _bitset_search(
     top bit alone and wipes the row out; an assigned vertex carries
     1 << t, its target, without the top bit.  A row with no top bit left
     is a complete assignment, and the map.
-    forward[u, t] is the row that assigning t to u ANDs in: the hom row of
-    t for each other vertex, with the top bit kept, and 1 << t for u.
-    Hom rows are symmetric (s joins t where t joins s), so the word of an
-    assigned vertex keeps its bit through every later AND.
+    forward[u * k + t] is the row that assigning t to u ANDs in: the hom
+    row of t for each other vertex, with the top bit kept, and 1 << t for
+    u.  Hom rows are symmetric, so an assigned vertex keeps its bit.
 
     Pending rows wait on a LIFO stack of chunks, front row on top, in
     ListSearch's preorder.  A step takes the first BATCH_CHILDREN // k
@@ -197,31 +191,37 @@ def _bitset_search(
     been expanded.  The count then runs over ListSearch's by the children
     each step on the row's path made after the path's child, which
     ListSearch never tries, so each pending row carries that number beside
-    it and the SAT count subtracts it.
+    it and the SAT count subtracts it.  A step's numpy calls cost more
+    than its few hundred children, so all are on flat arrays: the chosen
+    lists unpack to bits whose one nonzero gives each child's parent and t,
+    take gathers at row * n + u and u * k + t, and a boolean product per
+    row finds the wiped children for compress.
     """
     k, n = len(rows), len(relation)
     if n == 0:
         return SearchResult(SAT, (), 0, 0)
-    # a target list and its free mark above it share one word
-    dtype = np.uint16 if k < 16 else np.uint32 if k < 32 else np.uint64
-    word = np.dtype(dtype).itemsize
+    # a target list and its free mark above it share one little-endian word,
+    # so bit t of a step's row r unpacks to bit r << shift | t
+    dtype = np.dtype("<u2" if k < 16 else "<u4" if k < 32 else "<u8")
+    word, shift = dtype.itemsize, (dtype.itemsize * 8).bit_length() - 1
     room = MAX_BATCH_BYTES - n * n * k * word - 4 * BATCH_CHILDREN * (n * word + 8)
     if k > MAX_BATCH_TARGETS or room < 0:
         return SearchResult(UNKNOWN, None, 0, 0)
-    free = dtype(1) << dtype(word * 8 - 1)
+    free = dtype.type(1) << dtype.type(word * 8 - 1)
     colors = np.array(relation, np.intp)
-    bits = np.left_shift(dtype(1), np.arange(k, dtype=dtype))
+    bits = np.left_shift(dtype.type(1), np.arange(k, dtype=dtype))
     forward = (np.array(rows, dtype=dtype).reshape(k, 3) | free)[
         np.arange(k)[:, None], colors[:, None, :]
-    ]
-    forward[np.arange(n), :, np.arange(n)] = bits
+    ].reshape(n * k, n)
+    forward.reshape(n, k, n)[np.arange(n), :, np.arange(n)] = bits
+    ones = np.ones(n, bool)
     cap = BATCH_CHILDREN // max(k, 1)
     index = np.arange(BATCH_CHILDREN)  # indexes a step's rows and its children
     nodes = depth = pending = 0
     # (rows, the nodes made after each row by the steps on its path, the
     # bytes of the chunk's whole arrays)
     stack: list[tuple[np.ndarray, np.ndarray, int]] = [
-        (np.full((1, n), free | dtype((1 << k) - 1), dtype), np.zeros(1, np.int64), 0)
+        (np.full((1, n), free | dtype.type((1 << k) - 1), dtype), np.zeros(1, np.int64), 0)
     ]
     while stack:
         parts, need = [], cap
@@ -234,11 +234,8 @@ def _bitset_search(
                 pending -= held
             parts.append((doms, after))
             need -= len(doms)
-        if len(parts) == 1:
-            doms, after = parts[0]
-        else:
-            doms, after = map(np.concatenate, zip(*parts))
-        assigned = np.count_nonzero(doms[0] < free)  # the front row is the deepest
+        doms, after = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        assigned = int(np.count_nonzero(doms[0] < free))  # the front row is the deepest
         if assigned == n:
             psi = tuple(int(w).bit_length() - 1 for w in doms[0])
             return SearchResult(SAT, psi, nodes - int(after[0]), n - 1)
@@ -246,20 +243,22 @@ def _bitset_search(
         counts = np.bitwise_count(doms)
         counts -= 2  # a free list counts its targets less one, an assigned vertex wraps to 255
         u = counts.argmin(1)
-        values = doms[index[: len(doms)], u]
-        parent, t = np.nonzero((values[:, None] & bits) != 0)  # nonzero is faster on bools
+        values = doms.ravel().take(index[: len(doms)] * n + u)
+        values ^= free
+        flat = np.unpackbits(values.view(np.uint8), bitorder="little").view(bool).nonzero()[0]
+        parent, t = flat >> shift, flat & (word * 8 - 1)
         made = len(parent)
         nodes += made
         if limit is not None and nodes > limit or pending > room:
             return SearchResult(UNKNOWN, None, nodes, depth)
-        child = doms[parent]
-        child &= forward[u[parent], t]
-        keep = (child != free).all(1)
-        child = child[keep]
+        child = doms.take(parent, 0)
+        child &= forward.take(u.take(parent) * k + t, 0)
+        keep = ~((child == free) @ ones)
+        child = child.compress(keep, 0)
         if len(child):  # child i's offset is its parent's plus made - 1 - i
-            later = after[parent]
+            later = after.take(parent)
             later += index[made - 1 :: -1]
-            later = later[keep]
+            later = later.compress(keep)
             held = child.nbytes + later.nbytes
             stack.append((child, later, held))
             pending += held

@@ -1,6 +1,7 @@
 """Embedding search vs brute force, obstruction enumeration vs independent
 exhaustive filters, canonical forms, and the fixed-point scan."""
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -270,6 +271,14 @@ class TestBatchedSearch:
         # 23 vertices into 32: BATCH_CHILDREN pending rows at each depth
         # would pass MAX_BATCH_BYTES, but the rows that wait stay far fewer
         cases += [(UNSAT, build_planted_obstruction(16, 4, seed)) for seed in (2, 3)]
+        # 26 vertices into 40, a tree of 200,459 nodes
+        cases.append((UNSAT, build_planted_obstruction(20, 4, 0)))
+        # SAT proofs of 429-4,980 nodes in cells where pool_sat_instances
+        # picks searches shorter than 200 nodes, as (n, m, seed)
+        cases += [
+            (SAT, build_planted_obstruction(n, m, seed))
+            for n, m, seed in ((10, 1, 7), (10, 2, 6), (11, 1, 11), (11, 2, 11), (12, 1, 13))
+        ]
         for status, inst in cases:
             expected = list_search(inst.graph, inst.tau)
             assert expected.status == status and expected.nodes > BATCH_BUDGET
@@ -279,6 +288,15 @@ class TestBatchedSearch:
         # the budget
         assert len(calls) == len(cases)
         assert limits == [BATCH_BUDGET] * len(cases)
+
+    def test_core_result_is_json_ready(self):
+        """The core decides the n = 16, m = 4, seed 3 gadget, and its
+        SearchResult carries Python ints, as ListSearch's does."""
+        inst = build_planted_obstruction(16, 4, 3)
+        for result in (batched(inst.graph, inst.tau), find_embedding(inst.graph, inst.tau)):
+            assert result == SearchResult(UNSAT, None, 58335, 20)
+            assert type(result.nodes) is int and type(result.depth) is int
+            assert json.loads(json.dumps(dataclasses.asdict(result)))["depth"] == 20
 
     def test_memory_within_byte_bound(self, monkeypatch):
         """The pool proofs and a tripartite tree whose steps run full hold
